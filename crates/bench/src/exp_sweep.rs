@@ -86,7 +86,7 @@ pub fn run_with(quick: bool, jobs: usize) -> SweepReport {
 /// the rendered grid report and the raw [`IncrementalReport`] accounting.
 pub fn run_incremental(quick: bool, jobs: usize, opts: &StoreOptions) -> IncrementalReport {
     let s = spec(quick);
-    Sweep::new(&s.name).jobs(jobs).timing_off().run_incremental(s.expand(), opts)
+    Sweep::new(&s.name).jobs(jobs).run_incremental(s.expand(), opts)
 }
 
 /// Run the demo grid against `opts` and fold the per-row summaries into
@@ -102,7 +102,7 @@ pub fn run_stored(quick: bool, jobs: usize, opts: &StoreOptions) -> SweepReport 
         .into_iter()
         .map(|(_, p)| p.rm.as_millis_f64())
         .collect();
-    let inc = Sweep::new(&s.name).jobs(jobs).timing_off().run_incremental(s.expand(), opts);
+    let inc = Sweep::new(&s.name).jobs(jobs).run_incremental(s.expand(), opts);
     if inc.aborted {
         return SweepReport {
             rows: Vec::new(),

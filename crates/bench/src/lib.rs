@@ -2,10 +2,9 @@
 //!
 //! One module per table/figure/experiment of the paper, each exposing a
 //! `run(quick)` function that regenerates the artifact and returns a
-//! printable report. The `repro` binary dispatches to them; the Criterion
-//! benches in `benches/` wrap the same functions.
+//! printable report. The `repro` binary dispatches to them.
 //!
-//! `quick = true` shrinks durations so CI and benches finish fast; the
+//! `quick = true` shrinks durations so CI finishes fast; the
 //! full settings match the paper's (60-second runs etc.). Absolute numbers
 //! are not expected to match the paper's testbed — the *shape* (who
 //! starves, by roughly what factor) is the reproduction target; see
@@ -25,7 +24,6 @@ pub mod exp_sweep;
 pub mod exp_theorems;
 pub mod exp_vivace;
 pub mod fig1;
-pub mod perfbench;
 pub mod fig2;
 pub mod fig3;
 pub mod fig7;

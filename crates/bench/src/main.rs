@@ -42,15 +42,7 @@
 //!              tests/scenarios/, writes coverage.txt, findings.jsonl
 //!              and minimal finding-NNN.scn reproducers into the out
 //!              dir; exits 1 on findings; --quick caps the run for CI)
-//!   perfbench  hot-path performance suite (EventQueue micro-benches,
-//!              canonical-scenario, workload-10k and sweep macro-benches);
-//!              appends labelled records to BENCH_netsim.json at the repo
-//!              root, or to target/perfbench-quick.json under --quick
-//!              ([--label NAME], default "dev"; --check validates the
-//!              committed file's schema, rejects quick-mode records, and
-//!              exits without benchmarking)
-//!   all        everything above (CSV into results/; excludes lint and
-//!              perfbench)
+//!   all        everything above (CSV into results/; excludes lint)
 //!
 //! --jobs N     worker threads for the sweep-engine experiments
 //!              (default: available parallelism; CSV output is
@@ -355,30 +347,27 @@ fn run_trace(scenario: Option<&str>) {
     println!("  → {}", path.display());
 }
 
-/// `repro lint [--json] [--deny-warnings] [--no-cache]`: run the `simlint`
-/// workspace invariant checks (see `crates/simlint`). Per-file analysis is
-/// reused from `target/simlint.cache` when file contents are unchanged;
-/// `--no-cache` re-analyzes everything. Exits 0 when clean, 1 when
-/// findings fail the run, 2 when the workspace root cannot be located.
-fn run_lint(args: &[String]) -> ! {
-    let json = args.iter().any(|a| a == "--json");
-    let deny_warnings = args.iter().any(|a| a == "--deny-warnings");
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    // Resolve the workspace root the same way from `cargo run` (manifest
-    // dir is crates/bench) and from an installed binary (walk up from cwd).
+/// The workspace root, found the same way from `cargo run` (manifest dir
+/// is crates/bench) and from an installed binary (walk up from cwd).
+/// Exits 2 when there is none.
+fn workspace_root() -> std::path::PathBuf {
     let start = match std::env::var("CARGO_MANIFEST_DIR") {
         Ok(m) => std::path::PathBuf::from(m),
         Err(_) => std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from(".")),
     };
-    let Some(root) = simlint::find_workspace_root(&start) else {
+    simlint::find_workspace_root(&start).unwrap_or_else(|| {
         eprintln!("error: no [workspace] manifest found above {}", start.display());
         std::process::exit(2);
-    };
-    let mut cfg = simlint::Config::for_workspace(&root);
-    if !no_cache {
-        cfg.cache_path = Some(root.join("target/simlint.cache"));
-    }
-    let report = simlint::lint_workspace(&cfg);
+    })
+}
+
+/// `repro lint [--json] [--deny-warnings]`: run the `simlint` workspace
+/// invariant checks (see `crates/simlint`). Exits 0 when clean, 1 when
+/// findings fail the run, 2 when the workspace root cannot be located.
+fn run_lint(args: &[String]) -> ! {
+    let json = args.iter().any(|a| a == "--json");
+    let deny_warnings = args.iter().any(|a| a == "--deny-warnings");
+    let report = simlint::lint_workspace(&simlint::Config::for_workspace(workspace_root()));
     for d in &report.diags {
         if json {
             println!("{}", d.render_json());
@@ -386,79 +375,14 @@ fn run_lint(args: &[String]) -> ! {
             println!("{}", d.render_human());
         }
     }
-    // Stats always go to stderr so `--json` stdout stays machine-clean
-    // while CI can still assert the warm run analyzed nothing.
+    // Stats go to stderr so `--json` stdout stays machine-clean.
     eprintln!(
-        "lint: {} file(s) checked ({} from cache, {} analyzed), {} error(s), {} warning(s)",
+        "lint: {} file(s) checked, {} error(s), {} warning(s)",
         report.files_checked,
-        report.files_reused,
-        report.files_checked - report.files_reused,
         report.errors(),
         report.warnings()
     );
     std::process::exit(if report.failed(deny_warnings) { 1 } else { 0 });
-}
-
-/// `repro perfbench [--quick] [--label NAME] [--check]`: run the hot-path
-/// performance suite. Full runs append labelled records to
-/// `BENCH_netsim.json` at the repo root; `--quick` runs append to the
-/// `target/perfbench-quick.json` scratch file instead (quick iteration
-/// counts are not comparable across labels and must never poison the
-/// committed trajectory). `--check` validates the committed trajectory's
-/// schema and rejects any quick-mode record in it (CI runs it after the
-/// quick smoke).
-fn run_perfbench(args: &[String]) {
-    let check_only = args.iter().any(|a| a == "--check");
-    if check_only {
-        let path = perfbench::trajectory_path();
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        match perfbench::validate(&text) {
-            Ok(n) => println!("perfbench: {} valid {} record(s) in {}", n, perfbench::SCHEMA, path.display()),
-            Err(e) => {
-                eprintln!("error: {} failed schema validation: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        match perfbench::check_full_mode(&text) {
-            Ok(n) => println!("perfbench: all {n} record(s) are full-mode (no \"quick\":true)"),
-            Err(e) => {
-                eprintln!("error: {} violates the quick-vs-full policy: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        match perfbench::compare(&text) {
-            Ok(lines) => {
-                for l in lines {
-                    println!("{l}");
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut label = String::from("dev");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--label" {
-            match it.next() {
-                Some(v) => label = v.clone(),
-                None => {
-                    eprintln!("error: --label expects a name");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(v) = a.strip_prefix("--label=") {
-            label = v.to_string();
-        }
-    }
-    perfbench::run(quick, &label);
 }
 
 /// Parse a `--flag VALUE` / `--flag=VALUE` string option.
@@ -491,16 +415,8 @@ fn parse_opt(args: &[String], flag: &str) -> Option<String> {
 /// `finding-NNN.scn` reproducer) under the auditor and reports whether it
 /// still fails.
 fn run_fuzz(args: &[String], quick: bool, jobs: usize) -> ! {
-    // Locate the seed corpus relative to the workspace root, the same way
-    // `repro lint` resolves its scan root.
-    let start = match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => std::path::PathBuf::from(m),
-        Err(_) => std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from(".")),
-    };
-    let Some(root) = simlint::find_workspace_root(&start) else {
-        eprintln!("error: no [workspace] manifest found above {}", start.display());
-        std::process::exit(2);
-    };
+    // The seed corpus lives relative to the workspace root.
+    let root = workspace_root();
 
     if let Some(file) = parse_opt(args, "--replay") {
         let path = std::path::PathBuf::from(file);
@@ -633,7 +549,7 @@ fn main() {
         .filter(|(i, a)| {
             // Skip flags and the values of value-taking flags.
             const VALUE_FLAGS: &[&str] = &[
-                "--jobs", "--label", "--seed", "--count", "--out", "--replay", "--store",
+                "--jobs", "--seed", "--count", "--out", "--replay", "--store",
                 "--format", "--cca", "--jitter-ms", "--rate-mbps",
             ];
             !a.starts_with("--")
@@ -668,7 +584,6 @@ fn main() {
         "trace" => run_trace(positional.get(1).copied()),
         "lint" => run_lint(&args),
         "fuzz" => run_fuzz(&args, quick, jobs),
-        "perfbench" => run_perfbench(&args),
         "all" => {
             run_glossary();
             run_fig1(quick);
@@ -691,7 +606,7 @@ fn main() {
         }
         _ => {
             println!(
-                "usage: repro <glossary|fig1|fig2|fig3|thm|fig7|copa|bbr|vivace|allegro|merit|algo1|ccmc|ablations|ecn|boundary|seeds|sweep|report|trace|lint|fuzz|perfbench|all> [--quick] [--jobs N] [--progress] [--audit] [--label NAME] [--check] [--seed N] [--count N] [--out DIR] [--replay FILE] [--store DIR] [--fresh] [--format table|csv|json] [--cca NAME] [--jitter-ms X] [--rate-mbps X]"
+                "usage: repro <glossary|fig1|fig2|fig3|thm|fig7|copa|bbr|vivace|allegro|merit|algo1|ccmc|ablations|ecn|boundary|seeds|sweep|report|trace|lint|fuzz|all> [--quick] [--jobs N] [--progress] [--audit] [--seed N] [--count N] [--out DIR] [--replay FILE] [--store DIR] [--fresh] [--format table|csv|json] [--cca NAME] [--jitter-ms X] [--rate-mbps X]"
             );
             return;
         }

@@ -267,7 +267,6 @@ mod tests {
         let s = crate::exp_sweep::spec(true);
         let inc = Sweep::new(&s.name)
             .jobs(2)
-            .timing_off()
             .run_incremental(s.expand(), &StoreOptions::new(&dir));
         assert!(!inc.aborted);
         dir

@@ -9,9 +9,8 @@
 //!   determinism suite runs the *same* list at `jobs = 1` and `jobs = 4`
 //!   and asserts bit-identical results).
 //! * [`Sweep`] — the runner: executes a job list across `jobs` workers,
-//!   preserves job order in the output, isolates per-job panics (a
-//!   diverging scenario reports instead of poisoning the sweep), and
-//!   appends JSON-lines timing records to `results/bench/sweep.json`.
+//!   preserves job order in the output, and isolates per-job panics (a
+//!   diverging scenario reports instead of poisoning the sweep).
 //! * [`ScenarioSpec`] — a declarative grid (CCA constructor × rate × RTT ×
 //!   jitter × seed) that expands into the two-flow asymmetric-jitter
 //!   topology used throughout the paper's §5/§6 experiments: flow 0 sees
@@ -30,11 +29,10 @@ use simcore::rng::Xoshiro256;
 use simcore::stats::Histogram;
 use simcore::store::{Checkpointer, Digest, Manifest, ReadError, Store, CODE_TAG};
 use simcore::units::{Dur, Rate, Time};
-use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The content key of a cacheable job: canonical config bytes plus the
 /// scenario seed. [`SweepJob::digest`] folds both with [`CODE_TAG`] into
@@ -53,7 +51,7 @@ pub struct JobKey {
 /// One labelled scenario in a sweep.
 #[derive(Clone)]
 pub struct SweepJob {
-    /// Row label (lands in reports and timing records).
+    /// Row label (lands in reports and progress messages).
     pub label: String,
     /// The scenario to run.
     pub config: SimConfig,
@@ -144,8 +142,6 @@ pub struct SweepRow {
     pub label: String,
     /// Simulation result, or the panic message of a diverging scenario.
     pub outcome: Result<SimResult, String>,
-    /// Wall-clock time this job ran for.
-    pub elapsed_ns: u64,
 }
 
 impl SweepRow {
@@ -158,16 +154,14 @@ impl SweepRow {
     }
 }
 
-/// An executed sweep: ordered rows plus aggregate timing.
+/// An executed sweep: its rows in job-list order.
 pub struct SweepReport {
-    /// The sweep's name (tags its timing records).
+    /// The sweep's name.
     pub name: String,
     /// Worker count the sweep ran with.
     pub jobs: usize,
     /// One row per job, in job-list order.
     pub rows: Vec<SweepRow>,
-    /// Wall-clock time of the whole sweep.
-    pub elapsed_ns: u64,
 }
 
 impl SweepReport {
@@ -182,19 +176,6 @@ impl SweepReport {
     }
 }
 
-/// Where the JSON-lines timing records go. Mirrors `testkit::bench`'s
-/// resolution: `SWEEP_BENCH_DIR`, else `CARGO_MANIFEST_DIR/../../results/
-/// bench` (the workspace layout), else `./results/bench`.
-fn default_timing_path() -> PathBuf {
-    let dir = std::env::var("SWEEP_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| match std::env::var("CARGO_MANIFEST_DIR") {
-            Ok(m) => PathBuf::from(m).join("../../results/bench"),
-            Err(_) => PathBuf::from("results/bench"),
-        });
-    dir.join("sweep.json")
-}
-
 /// Shared log-callback type for sweep progress messages.
 pub type SweepLog = Arc<dyn Fn(&str) + Send + Sync>;
 
@@ -203,32 +184,26 @@ pub type SweepLog = Arc<dyn Fn(&str) + Send + Sync>;
 pub struct Sweep {
     name: String,
     jobs: usize,
-    timing: Option<PathBuf>,
     log: Option<SweepLog>,
     audit: bool,
-    wall_clock: bool,
 }
 
 impl Sweep {
-    /// A sweep named `name` using every available core and the default
-    /// timing sink. Honors the `SWEEP_PROGRESS` environment variable by
-    /// installing a stderr progress logger, and `SWEEP_AUDIT` (the
-    /// `repro --audit` flag) by running every row under the runtime
-    /// invariant auditor.
+    /// A sweep named `name` using every available core. Honors the
+    /// `SWEEP_PROGRESS` environment variable by installing a stderr
+    /// progress logger, and `SWEEP_AUDIT` (the `repro --audit` flag) by
+    /// running every row under the runtime invariant auditor.
     pub fn new(name: impl Into<String>) -> Sweep {
         let log: Option<SweepLog> = match std::env::var("SWEEP_PROGRESS") {
             Ok(v) if v != "0" => Some(Arc::new(|msg: &str| eprintln!("{msg}"))),
             _ => None,
         };
         let audit = matches!(std::env::var("SWEEP_AUDIT"), Ok(v) if v != "0");
-        let wall_clock = matches!(std::env::var("SWEEP_TIMING_WALL"), Ok(v) if v != "0");
         Sweep {
             name: name.into(),
             jobs: par::available_jobs(),
-            timing: Some(default_timing_path()),
             log,
             audit,
-            wall_clock,
         }
     }
 
@@ -238,31 +213,16 @@ impl Sweep {
         self
     }
 
-    /// Builder: write timing records to a specific file.
-    pub fn timing_path(mut self, path: PathBuf) -> Sweep {
-        self.timing = Some(path);
-        self
-    }
-
-    /// Builder: disable timing records (unit tests, throwaway sweeps).
-    pub fn timing_off(mut self) -> Sweep {
-        self.timing = None;
+    /// No-op: sweeps write no timing records any more. Kept only because
+    /// `benchmark/` (frozen for this change) still calls it; the next
+    /// `benchmark` PR removes the calls and this method.
+    pub fn timing_off(self) -> Sweep {
         self
     }
 
     /// Builder: attach a progress log callback.
     pub fn with_log(mut self, log: SweepLog) -> Sweep {
         self.log = Some(log);
-        self
-    }
-
-    /// Builder: include wall-clock `elapsed_ns` fields in the timing
-    /// records. Off by default (or via the `SWEEP_TIMING_WALL` environment
-    /// variable) so that two identical sweeps write byte-identical timing
-    /// files — wall time is the only nondeterministic field, and keeping it
-    /// out by default means timing artifacts never diff golden outputs.
-    pub fn wall_clock(mut self, on: bool) -> Sweep {
-        self.wall_clock = on;
         self
     }
 
@@ -275,19 +235,9 @@ impl Sweep {
         self
     }
 
-    /// The sweep layer's one wall-clock read, isolated (like
-    /// `store::Checkpointer::wall_now`) so the timing-sidecar edge can be
-    /// contained at its one call site instead of tainting every caller of
-    /// [`Sweep::run`].
-    fn sweep_clock() -> Instant {
-        // simlint: allow(determinism): sweep wall time feeds the (gated) timing sidecar only
-        Instant::now()
-    }
-
     /// Run the job list. Rows come back in job-list order regardless of
     /// worker count or completion order.
     pub fn run(self, jobs_list: Vec<SweepJob>) -> SweepReport {
-        let total = jobs_list.len();
         let labels: Vec<String> = jobs_list.iter().map(|j| j.label.clone()).collect();
         let audit = self.audit;
         let configs: Vec<SimConfig> = jobs_list
@@ -310,14 +260,12 @@ impl Sweep {
             }
         };
 
-        let t0 = Self::sweep_clock(); // simlint: allow(determinism-taint): timing sidecar only, gated off golden outputs
         let reports = par::map(
             configs,
             self.jobs,
             |_i, config| Network::new(config).run(),
             Some(&progress),
         );
-        let elapsed_ns = t0.elapsed().as_nanos() as u64;
 
         let rows: Vec<SweepRow> = reports
             .into_iter()
@@ -329,66 +277,11 @@ impl Sweep {
                     par::JobOutcome::Ok(result) => Ok(result),
                     par::JobOutcome::Panicked(msg) => Err(msg),
                 },
-                elapsed_ns: r.elapsed.as_nanos() as u64,
             })
             .collect();
 
-        let report = SweepReport {
-            name,
-            jobs: self.jobs,
-            rows,
-            elapsed_ns,
-        };
-        if let Some(path) = &self.timing {
-            if let Err(e) = write_timing(path, &report, total, self.wall_clock) {
-                eprintln!("sweep {}: cannot write {}: {e}", report.name, path.display());
-            }
-        }
-        report
+        SweepReport { name, jobs: self.jobs, rows }
     }
-}
-
-/// Append JSON-lines timing records: one object per job plus a summary
-/// line per sweep. Each line is a single `write` call, so concurrent
-/// sweeps appending to the same file do not interleave within a line.
-///
-/// The wall-clock `elapsed_ns` fields are emitted only when `wall` is set
-/// ([`Sweep::wall_clock`] / `SWEEP_TIMING_WALL`): everything else in a
-/// record is a pure function of the job list, so without them two runs of
-/// the same sweep produce byte-identical files.
-fn write_timing(path: &PathBuf, report: &SweepReport, total: usize, wall: bool) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    for row in &report.rows {
-        let wall_field =
-            if wall { format!(",\"elapsed_ns\":{}", row.elapsed_ns) } else { String::new() };
-        let line = format!(
-            "{{\"sweep\":\"{}\",\"index\":{},\"label\":\"{}\",\"ok\":{}{}}}\n",
-            json_escape(&report.name),
-            row.index,
-            json_escape(&row.label),
-            row.outcome.is_ok(),
-            wall_field,
-        );
-        f.write_all(line.as_bytes())?;
-    }
-    let wall_field =
-        if wall { format!(",\"elapsed_ns\":{}", report.elapsed_ns) } else { String::new() };
-    let summary = format!(
-        "{{\"sweep\":\"{}\",\"jobs\":{},\"total\":{},\"panics\":{}{}}}\n",
-        json_escape(&report.name),
-        report.jobs,
-        total,
-        report.panics(),
-        wall_field,
-    );
-    f.write_all(summary.as_bytes())
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Throughput floor defining "starved" in persisted row summaries (§4.2's
@@ -695,9 +588,9 @@ impl SweepAggregate {
     }
 }
 
-/// Where the default result store lives. Mirrors the timing sink's
-/// resolution: `SWEEP_STORE_DIR`, else `CARGO_MANIFEST_DIR/../../results/
-/// store` (the workspace layout), else `./results/store`.
+/// Where the default result store lives: `SWEEP_STORE_DIR`, else
+/// `CARGO_MANIFEST_DIR/../../results/store` (the workspace layout), else
+/// `./results/store`.
 pub fn default_store_dir() -> PathBuf {
     std::env::var("SWEEP_STORE_DIR")
         .map(PathBuf::from)
@@ -1158,7 +1051,7 @@ impl GridPoint {
 /// link rates, propagation RTTs, jitter bounds and seeds, expanded in that
 /// (row-major) order into two-flow asymmetric-jitter scenarios.
 pub struct ScenarioSpec {
-    /// Sweep name (tags labels and timing records).
+    /// Sweep name (tags progress messages).
     pub name: String,
     /// The algorithm axis.
     pub ccas: Vec<CcaSpec>,
@@ -1332,7 +1225,7 @@ mod tests {
             Dur::from_secs(1),
         );
         let jobs = vec![SweepJob::from_scenario(&parsed), SweepJob::new("hand", by_hand)];
-        let report = Sweep::new("dsl-interop").jobs(2).timing_off().run(jobs);
+        let report = Sweep::new("dsl-interop").jobs(2).run(jobs);
         assert_eq!(report.rows[0].label, "dsl-row");
         let a = report.rows[0].outcome.as_ref().expect("dsl row runs");
         let b = report.rows[1].outcome.as_ref().expect("hand row runs");
@@ -1356,7 +1249,7 @@ mod tests {
     #[test]
     fn sweep_rows_are_ordered_and_complete() {
         let spec = tiny_spec();
-        let report = Sweep::new("selftest").jobs(4).timing_off().run(spec.expand());
+        let report = Sweep::new("selftest").jobs(4).run(spec.expand());
         assert_eq!(report.rows.len(), 8);
         assert_eq!(report.panics(), 0);
         for (i, row) in report.rows.iter().enumerate() {
@@ -1368,8 +1261,8 @@ mod tests {
     #[test]
     fn cloned_job_list_runs_twice_identically() {
         let jobs = tiny_spec().expand();
-        let a = Sweep::new("a").jobs(2).timing_off().run(jobs.clone());
-        let b = Sweep::new("b").jobs(3).timing_off().run(jobs);
+        let a = Sweep::new("a").jobs(2).run(jobs.clone());
+        let b = Sweep::new("b").jobs(3).run(jobs);
         for (ra, rb) in a.rows.iter().zip(&b.rows) {
             assert_eq!(ra.label, rb.label);
             assert_eq!(
@@ -1427,7 +1320,6 @@ mod tests {
         );
         let report = Sweep::new("panic-isolation")
             .jobs(2)
-            .timing_off()
             .run(vec![good("good-0"), bad, good("good-2")]);
         assert_eq!(report.panics(), 1);
         assert!(report.rows[0].outcome.is_ok());
@@ -1443,8 +1335,8 @@ mod tests {
     fn audited_sweep_matches_unaudited() {
         // The auditor must pass on every grid row and change nothing.
         let jobs = tiny_spec().expand();
-        let plain = Sweep::new("plain").jobs(2).timing_off().run(jobs.clone());
-        let audited = Sweep::new("audited").jobs(2).timing_off().audit(true).run(jobs);
+        let plain = Sweep::new("plain").jobs(2).run(jobs.clone());
+        let audited = Sweep::new("audited").jobs(2).audit(true).run(jobs);
         assert_eq!(audited.panics(), 0);
         for (ra, rb) in plain.rows.iter().zip(&audited.rows) {
             assert_eq!(
@@ -1463,63 +1355,12 @@ mod tests {
     }
 
     #[test]
-    fn timing_records_are_json_lines_and_deterministic_by_default() {
-        let dir = std::env::temp_dir().join("sweep_selftest_timing");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("sweep.json");
-        let report = Sweep::new("timed")
-            .jobs(2)
-            .timing_path(path.clone())
-            .wall_clock(false)
-            .run(tiny_spec().expand());
-        assert_eq!(report.rows.len(), 8);
-        let text = std::fs::read_to_string(&path).unwrap();
-        // 8 job lines + 1 summary line.
-        assert_eq!(text.lines().count(), 9, "{text}");
-        assert!(text.contains("\"sweep\":\"timed\""));
-        assert!(text.contains("\"label\":\"const/r12/rtt40/j0/s1\""));
-        assert!(text.contains("\"jobs\":2"));
-        // Wall-clock fields are opt-in; by default the file is a pure
-        // function of the job list.
-        assert!(!text.contains("elapsed_ns"), "{text}");
-
-        // Re-running the identical sweep appends byte-identical records.
-        let _ = Sweep::new("timed")
-            .jobs(3)
-            .timing_path(path.clone())
-            .wall_clock(false)
-            .run(tiny_spec().expand());
-        let text2 = std::fs::read_to_string(&path).unwrap();
-        let (first, second) = text2.split_at(text.len());
-        assert_eq!(first, text);
-        assert_eq!(second.replace("\"jobs\":3", "\"jobs\":2"), text);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wall_clock_timing_is_opt_in() {
-        let dir = std::env::temp_dir().join("sweep_selftest_timing_wall");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("sweep.json");
-        let _ = Sweep::new("walled")
-            .jobs(2)
-            .timing_path(path.clone())
-            .wall_clock(true)
-            .run(tiny_spec().expand());
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 9, "{text}");
-        assert!(text.lines().all(|l| l.contains("\"elapsed_ns\":")), "{text}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn progress_callback_fires_per_job() {
         use std::sync::Mutex;
         let seen: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = seen.clone();
         let report = Sweep::new("logged")
             .jobs(2)
-            .timing_off()
             .with_log(Arc::new(move |msg: &str| sink.lock().unwrap().push(msg.to_string())))
             .run(tiny_spec().expand());
         assert_eq!(seen.lock().unwrap().len(), report.rows.len());
@@ -1534,7 +1375,7 @@ mod tests {
 
     #[test]
     fn row_summary_store_bytes_roundtrip() {
-        let report = Sweep::new("rt").jobs(1).timing_off().run(tiny_spec().expand());
+        let report = Sweep::new("rt").jobs(1).run(tiny_spec().expand());
         let row = report.rows[0].result();
         let meta = GridMeta {
             cca: "const".to_string(),
@@ -1561,7 +1402,7 @@ mod tests {
     fn incremental_rerun_executes_zero_jobs_and_matches_bytes() {
         let dir = store_tmpdir("rerun");
         let opts = StoreOptions::new(&dir).checkpoint_rows(2);
-        let first = Sweep::new("inc").jobs(2).timing_off().run_incremental(tiny_spec().expand(), &opts);
+        let first = Sweep::new("inc").jobs(2).run_incremental(tiny_spec().expand(), &opts);
         assert_eq!(first.total, 8);
         assert_eq!(first.executed, 8);
         assert_eq!(first.cached, 0);
@@ -1569,7 +1410,7 @@ mod tests {
         assert_eq!(first.aggregate.rows, 8);
         assert!(first.manifest_path.exists());
 
-        let second = Sweep::new("inc").jobs(4).timing_off().run_incremental(tiny_spec().expand(), &opts);
+        let second = Sweep::new("inc").jobs(4).run_incremental(tiny_spec().expand(), &opts);
         assert_eq!(second.executed, 0, "complete grid re-runs nothing");
         assert_eq!(second.cached, 8);
         let rows_a: Vec<Vec<u8>> = first
@@ -1590,16 +1431,15 @@ mod tests {
     fn fresh_flag_recomputes_without_invalidating_store() {
         let dir = store_tmpdir("fresh");
         let opts = StoreOptions::new(&dir);
-        let first = Sweep::new("f").jobs(2).timing_off().run_incremental(tiny_spec().expand(), &opts);
+        let first = Sweep::new("f").jobs(2).run_incremental(tiny_spec().expand(), &opts);
         assert_eq!(first.executed, 8);
         let fresh = Sweep::new("f")
             .jobs(2)
-            .timing_off()
             .run_incremental(tiny_spec().expand(), &opts.clone().fresh(true));
         assert_eq!(fresh.executed, 8, "--fresh re-runs everything");
         assert_eq!(fresh.cached, 0);
         // And the store is still a valid full cache afterwards.
-        let third = Sweep::new("f").jobs(2).timing_off().run_incremental(tiny_spec().expand(), &opts);
+        let third = Sweep::new("f").jobs(2).run_incremental(tiny_spec().expand(), &opts);
         assert_eq!(third.executed, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1617,9 +1457,9 @@ mod tests {
         );
         let opts = StoreOptions::new(&dir);
         let jobs = || vec![SweepJob::new("opaque", config.clone())];
-        let a = Sweep::new("u").jobs(1).timing_off().run_incremental(jobs(), &opts);
+        let a = Sweep::new("u").jobs(1).run_incremental(jobs(), &opts);
         assert_eq!((a.executed, a.uncacheable), (1, 1));
-        let b = Sweep::new("u").jobs(1).timing_off().run_incremental(jobs(), &opts);
+        let b = Sweep::new("u").jobs(1).run_incremental(jobs(), &opts);
         assert_eq!((b.executed, b.uncacheable), (1, 1), "no key ⇒ no caching");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1627,7 +1467,7 @@ mod tests {
     #[test]
     fn kill_hook_aborts_and_resume_completes_the_grid() {
         let dir = store_tmpdir("kill");
-        let killed = Sweep::new("k").jobs(1).timing_off().run_incremental(
+        let killed = Sweep::new("k").jobs(1).run_incremental(
             tiny_spec().expand(),
             &StoreOptions::new(&dir).checkpoint_rows(1).kill_after(Some(3)),
         );
@@ -1637,7 +1477,6 @@ mod tests {
 
         let resumed = Sweep::new("k")
             .jobs(1)
-            .timing_off()
             .run_incremental(tiny_spec().expand(), &StoreOptions::new(&dir));
         assert!(!resumed.aborted);
         assert_eq!(resumed.cached, 3, "persisted rows survive the kill");
@@ -1667,7 +1506,6 @@ mod tests {
         let dir = store_tmpdir("agg");
         let report = Sweep::new("agg")
             .jobs(2)
-            .timing_off()
             .run_incremental(tiny_spec().expand(), &StoreOptions::new(&dir));
         let agg = &report.aggregate;
         assert_eq!(agg.rows, 8);

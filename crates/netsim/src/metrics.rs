@@ -262,8 +262,8 @@ pub struct SimResult {
     /// When the run ended.
     pub end: Time,
     /// Total simulator events dispatched during the run. Deterministic for
-    /// a given scenario; `repro perfbench` divides wall-clock by this to
-    /// derive its `ns_per_event` trajectory metric.
+    /// a given scenario; the benchmark divides wall-clock by this for its
+    /// `run.<s>.ns_per_event` metrics.
     pub events: u64,
 }
 

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-fn wall_clock() -> Duration {
+fn wall_time() -> Duration {
     let t0 = Instant::now();
     t0.elapsed()
 }

@@ -6,14 +6,12 @@
 //! Phase 1 ([`analyze_rust`] / [`analyze_manifest`]) is per-file and pure:
 //! lex, parse, run the local rules (SL001–SL006), extract graph facts, and
 //! parse directives — *without* applying suppressions. The result
-//! ([`FileAnalysis`]) depends only on the file's bytes and the config, so
-//! it is what the incremental cache ([`crate::cache`]) stores.
+//! ([`FileAnalysis`]) depends only on the file's bytes and the config.
 //!
 //! Phase 2 ([`finish`]) joins all analyses: the call-graph rules
 //! (SL007 v2/SL008/SL009/SL010, see [`crate::graph`]) run over every
 //! file's facts, then suppressions are applied per file and unused
-//! directives become SL000 errors. Phase 2 is cheap and always runs
-//! fresh, which is how cached and uncached runs stay byte-identical.
+//! directives become SL000 errors.
 //!
 //! ## Suppression
 //!
@@ -42,7 +40,6 @@
 //! reports which of these actually contained an edge, so unused ones are
 //! still SL000 errors.
 
-use crate::cache;
 use crate::diag::{Diagnostic, RuleId, Severity};
 use crate::graph;
 use crate::lexer::{self, Token};
@@ -81,9 +78,6 @@ pub struct Config {
     pub determinism_allow: Vec<String>,
     /// Directory names never descended into.
     pub skip_dirs: Vec<String>,
-    /// Where [`lint_workspace`] persists per-file analyses between runs;
-    /// `None` disables the cache (fixtures, ad-hoc runs).
-    pub cache_path: Option<PathBuf>,
 }
 
 impl Config {
@@ -121,7 +115,6 @@ impl Config {
                 // Generated experiment artifacts, not source.
                 "results".to_string(),
             ],
-            cache_path: None,
         }
     }
 
@@ -139,7 +132,6 @@ impl Config {
             trace_def_path: String::new(),
             determinism_allow: Vec::new(),
             skip_dirs: vec!["target".to_string(), ".git".to_string()],
-            cache_path: None,
         }
     }
 
@@ -162,9 +154,7 @@ pub struct Directive {
 }
 
 /// Phase-1 output for one file: everything the graph pass and the
-/// suppression pass need, none of it suppressed yet. This is the unit the
-/// incremental cache stores — it depends only on the file bytes and the
-/// config fingerprint.
+/// suppression pass need, none of it suppressed yet.
 #[derive(Clone, Debug)]
 pub struct FileAnalysis {
     /// Workspace-relative path.
@@ -474,8 +464,6 @@ pub struct LintReport {
     pub diags: Vec<Diagnostic>,
     /// Number of files inspected.
     pub files_checked: usize,
-    /// Of those, how many were served from the incremental cache.
-    pub files_reused: usize,
 }
 
 impl LintReport {
@@ -496,23 +484,13 @@ impl LintReport {
 }
 
 /// Lint every `.rs` and `Cargo.toml` under the config's root: the
-/// complete-workspace mode. Hot roots are required, SL009/SL010 run, and
-/// per-file analyses round-trip through the incremental cache when
-/// `cfg.cache_path` is set.
+/// complete-workspace mode. Hot roots are required and SL009/SL010 run.
 pub fn lint_workspace(cfg: &Config) -> LintReport {
     let mut files = Vec::new();
     collect_files(cfg, &cfg.root, &mut files);
     files.sort(); // deterministic output order, independent of readdir order
 
-    let fingerprint = cache::fingerprint(cfg);
-    let cached = match &cfg.cache_path {
-        Some(p) => cache::Cache::load(p, &fingerprint),
-        None => cache::Cache::default(),
-    };
-
     let mut analyses = Vec::new();
-    let mut digests = Vec::new();
-    let mut reused = 0usize;
     let mut unreadable = Vec::new();
     for f in &files {
         let rel = f
@@ -530,30 +508,18 @@ pub fn lint_workspace(cfg: &Config) -> LintReport {
             ));
             continue;
         };
-        let digest = simcore::store::Digest::of(src.as_bytes()).hex();
-        if let Some(hit) = cached.get(&rel, &digest) {
-            analyses.push(hit.clone());
-            reused += 1;
-        } else if rel.ends_with(".rs") {
+        if rel.ends_with(".rs") {
             analyses.push(analyze_rust(cfg, &rel, &src));
         } else {
             analyses.push(analyze_manifest(cfg, &rel, &src));
         }
-        digests.push(digest);
     }
 
     let mut diags = finish(cfg, &analyses, true, true);
     diags.extend(unreadable);
     sort_diags(&mut diags);
 
-    if let Some(path) = &cfg.cache_path {
-        // Rebuild from the current file set: entries for deleted files
-        // drop out, every current file (cached or fresh) is persisted.
-        let store = cache::Cache::build(&fingerprint, &analyses, &digests);
-        let _ = store.save(path); // cache write failure is not a lint failure
-    }
-
-    LintReport { diags, files_checked: analyses.len(), files_reused: reused }
+    LintReport { diags, files_checked: analyses.len() }
 }
 
 /// Lint an explicit file list (absolute or root-relative paths). This is
@@ -589,7 +555,7 @@ pub fn lint_paths(cfg: &Config, files: &[PathBuf]) -> LintReport {
     let mut diags = finish(cfg, &analyses, false, false);
     diags.extend(unreadable);
     sort_diags(&mut diags);
-    LintReport { diags, files_checked: analyses.len(), files_reused: 0 }
+    LintReport { diags, files_checked: analyses.len() }
 }
 
 fn collect_files(cfg: &Config, dir: &Path, out: &mut Vec<PathBuf>) {
@@ -787,11 +753,10 @@ fn grand() { caller(); }
             col: 1,
             message: String::new(),
         };
-        let warn_only =
-            LintReport { diags: vec![mk(Severity::Warning)], files_checked: 1, files_reused: 0 };
+        let warn_only = LintReport { diags: vec![mk(Severity::Warning)], files_checked: 1 };
         assert!(!warn_only.failed(false));
         assert!(warn_only.failed(true));
-        let err = LintReport { diags: vec![mk(Severity::Error)], files_checked: 1, files_reused: 0 };
+        let err = LintReport { diags: vec![mk(Severity::Error)], files_checked: 1 };
         assert!(err.failed(false));
     }
 }

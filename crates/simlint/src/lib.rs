@@ -33,11 +33,8 @@
 //! | SL010 | discarded-result | warning | expression statements dropping a workspace `Result` |
 //!
 //! SL001–SL006 are single-file rules; SL007–SL010 run on a conservative
-//! workspace call graph built by [`parse`] and [`graph`] (v2). Per-file
-//! analysis is cached content-addressed ([`cache`]) so warm runs re-lex
-//! nothing; the graph pass is always recomputed from the cached facts.
+//! workspace call graph built by [`parse`] and [`graph`] (v2).
 
-pub mod cache;
 pub mod diag;
 pub mod engine;
 pub mod graph;

@@ -22,8 +22,6 @@ OPTIONS:
   --json            emit diagnostics as JSON lines instead of human text
   --deny-warnings   treat warnings as failures (CI mode)
   --root DIR        workspace root (default: walk up from cwd to [workspace])
-  --cache PATH      incremental cache file (default: ROOT/target/simlint.cache)
-  --no-cache        re-analyze every file; neither read nor write the cache
   --self-check      lint the embedded fixtures and verify expected outcomes
   --rules           list registered rules and exit";
 
@@ -35,8 +33,6 @@ fn main() -> ExitCode {
     let mut list_rules = false;
     let mut root: Option<PathBuf> = None;
     let mut files: Vec<PathBuf> = Vec::new();
-    let mut no_cache = false;
-    let mut cache: Option<PathBuf> = None;
 
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -49,11 +45,6 @@ fn main() -> ExitCode {
             "--root" => match argv.next() {
                 Some(d) => root = Some(PathBuf::from(d)),
                 None => return usage_error("--root requires a directory"),
-            },
-            "--no-cache" => no_cache = true,
-            "--cache" => match argv.next() {
-                Some(p) => cache = Some(PathBuf::from(p)),
-                None => return usage_error("--cache requires a file path"),
             },
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -105,10 +96,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut cfg = Config::for_workspace(&root);
-    if workspace && !no_cache {
-        cfg.cache_path = Some(cache.unwrap_or_else(|| root.join("target/simlint.cache")));
-    }
+    let cfg = Config::for_workspace(&root);
     let report = if workspace {
         engine::lint_workspace(&cfg)
     } else {
@@ -124,10 +112,8 @@ fn main() -> ExitCode {
     }
     if !json {
         eprintln!(
-            "simlint: {} file(s) checked ({} from cache, {} analyzed), {} error(s), {} warning(s)",
+            "simlint: {} file(s) checked, {} error(s), {} warning(s)",
             report.files_checked,
-            report.files_reused,
-            report.files_checked - report.files_reused,
             report.errors(),
             report.warnings()
         );

@@ -1,9 +1,8 @@
-//! Shared scenario fixtures for integration tests and benches.
+//! Shared scenario fixtures for integration tests.
 //!
 //! These are the `run_one`-style builders that used to be copy-pasted
-//! between `tests/*.rs` files and `crates/bench/benches/*.rs`. Keeping them
-//! here means a scenario change (say, the §5.1 poison pattern) happens in
-//! exactly one place, and tests/benches measure the same configuration.
+//! between `tests/*.rs` files. Keeping them here means a scenario change
+//! (say, the §5.1 poison pattern) happens in exactly one place.
 
 use cca::BoxCca;
 use netsim::{
@@ -50,8 +49,7 @@ pub fn run_one(
 
 /// Two identical-CCA flows on a 40 Mbit/s, `Rm` = 50 ms path; the first
 /// sees up to 10 ms of random jitter (seed 11), the second is clean. The
-/// §6 jitter-robustness scenario shared by Algorithm 1's tests and the
-/// ablation bench.
+/// §6 jitter-robustness scenario shared by Algorithm 1's tests.
 pub fn asymmetric_jitter_run(mk: impl Fn() -> BoxCca, secs: u64) -> SimResult {
     let link = LinkConfig::ample_buffer(Rate::from_mbps(40.0));
     let rm = Dur::from_millis(50);

@@ -3,16 +3,13 @@
 //! The workspace's reproducibility contract (bit-identical simulations for a
 //! given seed) extends to the build itself: no registry dependencies, so the
 //! suite compiles and runs with `--locked --offline` on a machine that has
-//! never seen crates.io. This crate supplies the three pieces that used to
+//! never seen crates.io. This crate supplies the two pieces that used to
 //! come from registry crates:
 //!
 //! * [`prop`] — a proptest-style property harness: composable generators
 //!   seeded from [`simcore::rng::Xoshiro256`], fixed case counts, greedy
 //!   shrinking toward a minimal counterexample, and failure output that is a
 //!   ready-to-paste regression test (replaces `proptest`).
-//! * [`bench`] — a measurement harness with warmup, timed iterations,
-//!   mean/p50/p99 via [`simcore::stats`], and JSON-lines output under
-//!   `results/bench/*.json` (replaces `criterion`).
 //! * [`harness`] — the scenario fixtures (`run_one`-style builders) that the
 //!   integration tests used to copy-paste from each other.
 //!
@@ -22,8 +19,5 @@
 //! external crate's stream stability.
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod harness;
 pub mod prop;
-
-pub use std::hint::black_box;

@@ -122,9 +122,8 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 
     let serial = Sweep::new("det-serial")
         .jobs(1)
-        .timing_off()
         .run(jobs.clone());
-    let parallel = Sweep::new("det-parallel").jobs(4).timing_off().run(jobs);
+    let parallel = Sweep::new("det-parallel").jobs(4).run(jobs);
 
     assert_eq!(serial.rows.len(), parallel.rows.len());
     for (s, p) in serial.rows.iter().zip(&parallel.rows) {
@@ -156,12 +155,10 @@ fn audited_parallel_sweep_is_bit_identical_to_serial() {
     let serial = Sweep::new("det-audit-serial")
         .jobs(1)
         .audit(true)
-        .timing_off()
         .run(jobs.clone());
     let parallel = Sweep::new("det-audit-parallel")
         .jobs(4)
         .audit(true)
-        .timing_off()
         .run(jobs);
 
     assert_eq!(serial.rows.len(), parallel.rows.len());
@@ -201,12 +198,10 @@ fn workload_1k_parallel_sweep_is_bit_identical_to_serial() {
     let serial = Sweep::new("wl-serial")
         .jobs(1)
         .audit(true)
-        .timing_off()
         .run(jobs.clone());
     let parallel = Sweep::new("wl-parallel")
         .jobs(4)
         .audit(true)
-        .timing_off()
         .run(jobs);
 
     assert_eq!(serial.rows.len(), parallel.rows.len());

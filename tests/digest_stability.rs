@@ -65,11 +65,9 @@ fn serial_and_parallel_sweeps_write_identical_stores() {
     let _ = std::fs::remove_dir_all(&dir4);
     let _ = Sweep::new("digest-suite")
         .jobs(1)
-        .timing_off()
         .run_incremental(grid().expand(), &StoreOptions::new(&dir1));
     let _ = Sweep::new("digest-suite")
         .jobs(4)
-        .timing_off()
         .run_incremental(grid().expand(), &StoreOptions::new(&dir4));
     assert_eq!(
         store_files(&dir1),

@@ -42,7 +42,6 @@ fn tmp(name: &str) -> PathBuf {
 fn populated(dir: &Path) -> (PathBuf, Vec<u8>) {
     let report = Sweep::new("corruption-suite")
         .jobs(2)
-        .timing_off()
         .run_incremental(grid().expand(), &StoreOptions::new(dir));
     assert_eq!(report.executed, 8);
     let store = Store::open(dir).expect("store opens");
@@ -68,7 +67,6 @@ fn assert_recovers(name: &str, expect_reason: &str, damage: impl Fn(&Path, &[u8]
 
     let recovery = Sweep::new("corruption-suite")
         .jobs(2)
-        .timing_off()
         .run_incremental(grid().expand(), &StoreOptions::new(&dir));
     assert!(!recovery.aborted);
     assert_eq!(recovery.executed, 1, "{name}: exactly the damaged row re-runs");
@@ -87,7 +85,6 @@ fn assert_recovers(name: &str, expect_reason: &str, damage: impl Fn(&Path, &[u8]
     );
     let again = Sweep::new("corruption-suite")
         .jobs(2)
-        .timing_off()
         .run_incremental(grid().expand(), &StoreOptions::new(&dir));
     assert_eq!(again.executed, 0, "{name}: the store is whole again");
     assert!(again.recomputed.is_empty());

@@ -70,7 +70,6 @@ fn kill_at_every_checkpoint_boundary_converges_to_baseline_bytes() {
     let base_dir = tmp("baseline");
     let base = Sweep::new("resume-suite")
         .jobs(1)
-        .timing_off()
         .run_incremental(grid().expand(), &StoreOptions::new(&base_dir).checkpoint_rows(1));
     assert!(!base.aborted);
     assert_eq!(base.executed, GRID_ROWS);
@@ -90,7 +89,7 @@ fn kill_at_every_checkpoint_boundary_converges_to_baseline_bytes() {
     // Kill after every possible number of persisted rows, then resume.
     for kill_n in 1..GRID_ROWS {
         let dir = tmp(&format!("kill{kill_n}"));
-        let killed = Sweep::new("resume-suite").jobs(1).timing_off().run_incremental(
+        let killed = Sweep::new("resume-suite").jobs(1).run_incremental(
             grid().expand(),
             &StoreOptions::new(&dir).checkpoint_rows(1).kill_after(Some(kill_n)),
         );
@@ -99,7 +98,6 @@ fn kill_at_every_checkpoint_boundary_converges_to_baseline_bytes() {
 
         let resumed = Sweep::new("resume-suite")
             .jobs(1)
-            .timing_off()
             .run_incremental(grid().expand(), &StoreOptions::new(&dir).checkpoint_rows(1));
         assert!(!resumed.aborted);
         assert_eq!(resumed.cached, kill_n, "kill_n={kill_n}: no persisted row is lost");
@@ -137,12 +135,11 @@ fn parallel_killed_sweep_converges_too() {
     let base_dir = tmp("par_baseline");
     let _ = Sweep::new("resume-suite")
         .jobs(1)
-        .timing_off()
         .run_incremental(grid().expand(), &StoreOptions::new(&base_dir).checkpoint_rows(1));
     let base_files = store_files(&base_dir);
 
     let dir = tmp("par_kill");
-    let killed = Sweep::new("resume-suite").jobs(4).timing_off().run_incremental(
+    let killed = Sweep::new("resume-suite").jobs(4).run_incremental(
         grid().expand(),
         &StoreOptions::new(&dir).checkpoint_rows(1).kill_after(Some(3)),
     );
@@ -152,7 +149,6 @@ fn parallel_killed_sweep_converges_too() {
 
     let resumed = Sweep::new("resume-suite")
         .jobs(4)
-        .timing_off()
         .run_incremental(grid().expand(), &StoreOptions::new(&dir).checkpoint_rows(1));
     assert!(!resumed.aborted);
     assert_eq!(resumed.cached, killed.executed, "every persisted row survives");
@@ -173,17 +169,16 @@ fn double_kill_still_converges() {
     let base_dir = tmp("dbl_baseline");
     let _ = Sweep::new("resume-suite")
         .jobs(1)
-        .timing_off()
         .run_incremental(grid().expand(), &StoreOptions::new(&base_dir).checkpoint_rows(1));
     let base_files = store_files(&base_dir);
 
     let dir = tmp("dbl_kill");
-    let first = Sweep::new("resume-suite").jobs(1).timing_off().run_incremental(
+    let first = Sweep::new("resume-suite").jobs(1).run_incremental(
         grid().expand(),
         &StoreOptions::new(&dir).checkpoint_rows(1).kill_after(Some(2)),
     );
     assert!(first.aborted);
-    let second = Sweep::new("resume-suite").jobs(1).timing_off().run_incremental(
+    let second = Sweep::new("resume-suite").jobs(1).run_incremental(
         grid().expand(),
         &StoreOptions::new(&dir).checkpoint_rows(1).kill_after(Some(3)),
     );
@@ -192,7 +187,6 @@ fn double_kill_still_converges() {
 
     let final_run = Sweep::new("resume-suite")
         .jobs(1)
-        .timing_off()
         .run_incremental(grid().expand(), &StoreOptions::new(&dir).checkpoint_rows(1));
     assert!(!final_run.aborted);
     assert_eq!(final_run.cached, 5, "2 + 3 rows survived the two crashes");
@@ -207,14 +201,12 @@ fn completed_grid_reruns_zero_jobs_any_worker_count() {
     let dir = tmp("zero_rerun");
     let first = Sweep::new("resume-suite")
         .jobs(2)
-        .timing_off()
         .run_incremental(grid().expand(), &StoreOptions::new(&dir));
     assert_eq!(first.executed, GRID_ROWS);
     let snapshot = store_files(&dir);
     for jobs in [1, 4] {
         let rerun = Sweep::new("resume-suite")
             .jobs(jobs)
-            .timing_off()
             .run_incremental(grid().expand(), &StoreOptions::new(&dir));
         assert_eq!(rerun.executed, 0, "jobs={jobs}: complete grid is a full cache hit");
         assert_eq!(rerun.cached, GRID_ROWS);

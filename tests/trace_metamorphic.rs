@@ -115,15 +115,13 @@ fn audited_parallel_sweep_is_bit_identical_to_serial() {
     let jobs = spec.expand();
     assert_eq!(jobs.len(), 8);
 
-    let serial_plain = Sweep::new("tm-serial-plain").jobs(1).timing_off().run(jobs.clone());
+    let serial_plain = Sweep::new("tm-serial-plain").jobs(1).run(jobs.clone());
     let serial_audit = Sweep::new("tm-serial-audit")
         .jobs(1)
-        .timing_off()
         .audit(true)
         .run(jobs.clone());
     let parallel_audit = Sweep::new("tm-par-audit")
         .jobs(4)
-        .timing_off()
         .audit(true)
         .run(jobs);
 
@@ -201,7 +199,6 @@ fn seeded_violation_surfaces_as_failed_sweep_row() {
     );
     let report = Sweep::new("audit-isolation")
         .jobs(2)
-        .timing_off()
         .audit(true)
         .run(vec![clean.clone(), violating, clean]);
     assert_eq!(report.panics(), 1);
