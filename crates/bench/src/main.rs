@@ -337,6 +337,18 @@ fn run_trace(scenario: Option<&str>) {
         .with_audit(true);
     let r = netsim::Network::new(cfg).run();
     println!("trace {name}: audit clean");
+    print_flow_summary(&r);
+    let c = r.counts;
+    println!(
+        "  events: wake={} depart={} data={} ack={} flush={} rto={} arrive={}",
+        c.wake, c.depart, c.data_arrive, c.ack_arrive, c.rx_flush, c.rto, c.flow_arrival
+    );
+    println!("  → {}", path.display());
+}
+
+/// One line per flow: what an audited run (`trace`, `fuzz --replay`)
+/// shows for it.
+fn print_flow_summary(r: &netsim::SimResult) {
     for (i, f) in r.flows.iter().enumerate() {
         println!(
             "  flow {i}: {:.2} Mbit/s, {} bytes delivered",
@@ -344,7 +356,6 @@ fn run_trace(scenario: Option<&str>) {
             f.total_delivered()
         );
     }
-    println!("  → {}", path.display());
 }
 
 /// The workspace root, found the same way from `cargo run` (manifest dir
@@ -431,13 +442,7 @@ fn run_fuzz(args: &[String], quick: bool, jobs: usize) -> ! {
         match outcome {
             Ok(r) => {
                 println!("replay {}: audit clean", path.display());
-                for (i, f) in r.flows.iter().enumerate() {
-                    println!(
-                        "  flow {i}: {:.2} Mbit/s, {} bytes delivered",
-                        f.throughput_at(r.end).mbps(),
-                        f.total_delivered()
-                    );
-                }
+                print_flow_summary(&r);
                 std::process::exit(0);
             }
             Err(payload) => {

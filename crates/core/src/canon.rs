@@ -120,4 +120,41 @@ mod tests {
             assert!(seen.contains(class), "no canonical scenario emits {class}");
         }
     }
+
+    #[test]
+    fn canonical_event_counts_are_pinned() {
+        // Exact per-kind dispatch counts: a change that schedules more or
+        // fewer events shows up here by kind, with no clock involved. A
+        // deliberate change re-records the row and says so.
+        use netsim::EvCounts;
+        let row = |wake, depart, data_arrive, ack_arrive, rx_flush, rto, flow_arrival| EvCounts {
+            wake,
+            depart,
+            data_arrive,
+            ack_arrive,
+            rx_flush,
+            rto,
+            flow_arrival,
+        };
+        let table = [
+            ("reno-ideal", row(1, 9640, 9560, 9560, 0, 6365, 0)),
+            ("copa-jitter", row(2791, 2792, 2766, 2766, 0, 1362, 0)),
+            ("bbr-two-flow", row(16745, 7959, 7949, 7949, 0, 1708, 0)),
+            ("vivace-lossy", row(7429, 7282, 7218, 7218, 0, 6906, 0)),
+            ("workload-1k", row(1000, 25438, 25438, 25438, 0, 15960, 1000)),
+        ];
+        assert_eq!(table.map(|(name, _)| name), CANONICAL);
+        for (name, want) in table {
+            let bare = Network::new(canonical_scenario(name).unwrap()).run();
+            assert_eq!(bare.counts, want, "{name}");
+            assert_eq!(bare.events, bare.counts.total(), "{name}");
+            // Observation is inert: the same counts under a sink + auditor.
+            let traced = canonical_scenario(name)
+                .unwrap()
+                .with_trace(Arc::new(|| Box::new(simcore::trace::NullSink) as Box<dyn TraceSink>))
+                .with_audit(true);
+            assert_eq!(Network::new(traced).run().counts, want, "{name} traced");
+        }
+        assert_eq!(table[2].1.total(), 42_310);
+    }
 }

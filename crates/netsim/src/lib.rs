@@ -65,7 +65,7 @@ pub mod workload;
 
 pub use config::{AckPolicy, FlowConfig, LinkConfig, PathSpec, SimConfig, Transport};
 pub use jitter::Jitter;
-pub use metrics::{FlowMetrics, FlowRecord, Percentiles, PopulationSummary, SimResult};
+pub use metrics::{EvCounts, FlowMetrics, FlowRecord, Percentiles, PopulationSummary, SimResult};
 pub use packet::FlowId;
 pub use pktstore::{PktStore, RefStore, SentPkt, SeqStore};
 pub use sender::Accounting;

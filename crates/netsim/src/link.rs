@@ -5,7 +5,7 @@
 //! delay-bounding CCAs; the loss-based experiments (Figure 7, §5.4) need a
 //! finite buffer (60 packets / 1 BDP), so the buffer is a parameter.
 
-use crate::packet::{FlowId, Packet};
+use crate::packet::Packet;
 use simcore::units::{Dur, Rate, Time};
 use std::collections::VecDeque;
 
@@ -15,7 +15,8 @@ pub enum Enqueue {
     /// Packet accepted; if `Some(t)`, the caller must schedule the *first*
     /// departure at `t` (the link was idle).
     Accepted(Option<Time>),
-    /// Tail-dropped: the buffer was full.
+    /// Tail-dropped: the buffer was full. The link keeps no per-flow
+    /// state; the caller counts the drop against the packet's flow.
     Dropped,
 }
 
@@ -33,8 +34,6 @@ pub struct Bottleneck {
     busy: bool,
     /// Total bytes served (for utilization accounting).
     served_bytes: u64,
-    /// Tail drops per flow index (grown on demand).
-    drops: Vec<u64>,
     /// Cumulative busy time.
     busy_time: Dur,
     last_busy_start: Option<Time>,
@@ -52,7 +51,6 @@ impl Bottleneck {
             queued_bytes: 0,
             busy: false,
             served_bytes: 0,
-            drops: Vec::new(),
             busy_time: Dur::ZERO,
             last_busy_start: None,
         }
@@ -94,11 +92,6 @@ impl Bottleneck {
         self.served_bytes
     }
 
-    /// Tail drops recorded for `flow`.
-    pub fn drops(&self, flow: FlowId) -> u64 {
-        self.drops.get(flow.index()).copied().unwrap_or(0)
-    }
-
     /// Fraction of `[0, now]` the link spent transmitting.
     pub fn utilization(&self, now: Time) -> f64 {
         if now == Time::ZERO {
@@ -121,11 +114,6 @@ impl Bottleneck {
             }
         }
         if self.queued_bytes + pkt.bytes > self.buffer_bytes {
-            let f = pkt.flow.index();
-            if self.drops.len() <= f {
-                self.drops.resize(f + 1, 0);
-            }
-            self.drops[f] += 1;
             return Enqueue::Dropped;
         }
         self.queued_bytes += pkt.bytes;
@@ -185,6 +173,7 @@ impl Bottleneck {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::FlowId;
 
     fn pkt(flow: usize, seq: u64) -> Packet {
         Packet {
@@ -233,8 +222,21 @@ mod tests {
         assert_ne!(l.enqueue(Time::ZERO, pkt(0, 0)), Enqueue::Dropped);
         assert_ne!(l.enqueue(Time::ZERO, pkt(0, 1)), Enqueue::Dropped);
         assert_eq!(l.enqueue(Time::ZERO, pkt(1, 2)), Enqueue::Dropped);
-        assert_eq!(l.drops(FlowId::from_index(1)), 1);
-        assert_eq!(l.drops(FlowId::from_index(0)), 0);
+        // A drop leaves the accepted backlog untouched.
+        assert_eq!(l.queue_len(), 2);
+        assert_eq!(l.queued_bytes(), 2 * 1500);
+    }
+
+    #[test]
+    fn phantom_id_drop_allocates_nothing() {
+        // The public warm-start filler id is u32::MAX: counting drops in a
+        // per-flow Vec inside the link would resize it to 2^32 entries.
+        let mut l = Bottleneck::new(Rate::from_mbps(12.0), 1500);
+        assert_ne!(l.enqueue(Time::ZERO, pkt(0, 0)), Enqueue::Dropped);
+        let mut filler = pkt(0, 1);
+        filler.flow = <crate::Network>::PHANTOM;
+        assert_eq!(l.enqueue(Time::ZERO, filler), Enqueue::Dropped);
+        assert_eq!(l.queue_len(), 1);
     }
 
     #[test]

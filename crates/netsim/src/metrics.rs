@@ -252,6 +252,39 @@ pub struct PopulationSummary {
     pub jain: f64,
 }
 
+/// Events dispatched during a run, by kind. Deterministic for a given
+/// scenario, with or without a trace sink.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EvCounts {
+    /// Sender wakes (flow start, pacing timer).
+    pub wake: u64,
+    /// Bottleneck departures (phantom warm-start filler included).
+    pub depart: u64,
+    /// Data packets reaching a receiver.
+    pub data_arrive: u64,
+    /// Acknowledgements reaching a sender.
+    pub ack_arrive: u64,
+    /// Receiver delayed-ACK/aggregation timers.
+    pub rx_flush: u64,
+    /// Retransmission timers, stale ones included.
+    pub rto: u64,
+    /// Workload flow arrivals.
+    pub flow_arrival: u64,
+}
+
+impl EvCounts {
+    /// All events dispatched: the sum over kinds.
+    pub fn total(&self) -> u64 {
+        self.wake
+            + self.depart
+            + self.data_arrive
+            + self.ack_arrive
+            + self.rx_flush
+            + self.rto
+            + self.flow_arrival
+    }
+}
+
 /// Result of a complete simulation run: one [`FlowRecord`] per flow, in
 /// dense [`FlowId`] order (`flows[i].id` is flow `i`).
 pub struct SimResult {
@@ -263,8 +296,10 @@ pub struct SimResult {
     pub end: Time,
     /// Total simulator events dispatched during the run. Deterministic for
     /// a given scenario; the benchmark divides wall-clock by this for its
-    /// `run.<s>.ns_per_event` metrics.
+    /// `run.<s>.ns_per_event` metrics. Always `counts.total()`.
     pub events: u64,
+    /// The same events, by kind.
+    pub counts: EvCounts,
 }
 
 impl SimResult {
@@ -486,6 +521,7 @@ mod tests {
             utilization: 0.9,
             end: Time::from_secs(5),
             events: 0,
+            counts: EvCounts::default(),
         };
         let steady = r.steady_throughputs(Dur::from_secs(2));
         assert!(steady[0].mbps() > 0.0);
@@ -523,6 +559,7 @@ mod tests {
             utilization: 0.9,
             end: Time::from_secs(1),
             events: 0,
+            counts: EvCounts::default(),
         };
         assert!((r.throughput_ratio() - 10.0).abs() < 1e-9);
         assert!(r.jain() < 1.0);
@@ -535,6 +572,7 @@ mod tests {
             utilization: 0.0,
             end: Time::from_secs(1),
             events: 0,
+            counts: EvCounts::default(),
         };
         assert!(r.flow(FlowId::from_index(1)).is_some());
         assert!(r.flow(FlowId::from_index(2)).is_none());
@@ -560,6 +598,7 @@ mod tests {
             utilization: 0.9,
             end: Time::from_secs(4),
             events: 0,
+            counts: EvCounts::default(),
         };
         let p = r.population(Rate::from_mbps(1.0), Dur::from_secs(1));
         assert_eq!(p.n, 3);

@@ -14,11 +14,15 @@
 //! so this loses no generality and lets the adversarial jitter element
 //! target full-RTT trajectories directly (as the proofs of Theorems 1–3
 //! require).
+//!
+//! Everything one flow owns on that path is one `FlowSlot`; every event
+//! kind has one `on_*` handler, and the run loop only pops, counts and
+//! dispatches.
 
 use crate::config::{FlowConfig, SimConfig, Transport};
 use crate::jitter::JitterElement;
 use crate::link::{Bottleneck, Enqueue};
-use crate::metrics::{FlowRecord, SimResult};
+use crate::metrics::{EvCounts, FlowRecord, SimResult};
 use crate::packet::{Ack, FlowId, Packet};
 use crate::receiver::Receiver;
 use crate::pktstore::{PktStore, SeqStore};
@@ -48,6 +52,25 @@ enum Ev {
     FlowArrival,
 }
 
+/// One flow's whole path: endpoints, the per-flow path elements either side
+/// of the shared bottleneck, and the loop's timer bookkeeping for it.
+struct FlowSlot<S: SeqStore> {
+    sender: Sender<S>,
+    receiver: Receiver,
+    jitter: JitterElement,
+    rm: Dur,
+    loss: Option<(f64, Xoshiro256)>,
+    /// Earliest pending Wake (deduplicates pacing timers: without this,
+    /// every ACK adds a duplicate wake that reschedules itself forever and
+    /// the event population grows without bound).
+    wake_armed: Option<Time>,
+    /// Deadline of the most recently scheduled Rto event (deduplicates
+    /// timer events).
+    rto_scheduled: Option<Time>,
+    /// Packets of this flow the bottleneck tail-dropped.
+    drops: u64,
+}
+
 /// A runnable network scenario.
 /// Generic over the sender's per-sequence packet store: [`PktStore`]
 /// (the flat arena, the default every call site gets) or
@@ -56,18 +79,8 @@ enum Ev {
 pub struct Network<S: SeqStore = PktStore> {
     q: EventQueue<Ev>,
     link: Bottleneck,
-    senders: Vec<Sender<S>>,
-    receivers: Vec<Receiver>,
-    jitters: Vec<JitterElement>,
-    rm: Vec<Dur>,
-    loss: Vec<Option<(f64, Xoshiro256)>>,
-    /// Earliest pending Wake per flow (deduplicates pacing timers: without
-    /// this, every ACK adds a duplicate wake that reschedules itself
-    /// forever and the event population grows without bound).
-    wake_armed: Vec<Option<Time>>,
-    /// Deadline of the most recently scheduled Rto event per flow
-    /// (deduplicates timer events).
-    rto_scheduled: Vec<Option<Time>>,
+    /// Indexed by `FlowId::index()`, in arrival order.
+    flows: Vec<FlowSlot<S>>,
     /// Trace sink (possibly an [`Auditor`] wrapping the configured sink).
     /// `None` — the default — costs one branch per instrumentation point.
     trace: Option<Box<dyn TraceSink>>,
@@ -75,6 +88,21 @@ pub struct Network<S: SeqStore = PktStore> {
     workload: Option<WorkloadRun>,
     sample_every: Dur,
     end: Time,
+}
+
+/// The one trace emission point: `build` runs only when a sink is set, so
+/// an untraced run pays the branch and nothing else. A free function over
+/// the field, so `build` may borrow the rest of the network.
+#[inline]
+fn emit(trace: &mut Option<Box<dyn TraceSink>>, at: Time, build: impl FnOnce() -> Event) {
+    if let Some(tr) = trace.as_mut() {
+        tr.event(at, &build());
+    }
+}
+
+/// The sender's window and pacing rate as they stand, for the trace.
+fn cwnd_update<S: SeqStore>(flow: FlowId, s: &Sender<S>) -> Event {
+    Event::CwndUpdate { flow, cwnd: s.cwnd(), pacing: s.cca().pacing_rate() }
 }
 
 impl Network {
@@ -116,13 +144,7 @@ impl<S: SeqStore> Network<S> {
         let mut net = Network {
             q: EventQueue::new(),
             link,
-            senders: Vec::new(),
-            receivers: Vec::new(),
-            jitters: Vec::new(),
-            rm: Vec::new(),
-            loss: Vec::new(),
-            wake_armed: Vec::new(),
-            rto_scheduled: Vec::new(),
+            flows: Vec::new(),
             trace,
             workload: cfg.workload.map(WorkloadRun::new),
             sample_every: cfg.sample_every,
@@ -147,45 +169,39 @@ impl<S: SeqStore> Network<S> {
     /// digests byte-identical.
     // simlint: cold: runs once per flow arrival, not per packet event
     fn add_flow(&mut self, f: FlowConfig, dynamic: bool) -> FlowId {
-        let fid = FlowId::from_index(self.senders.len());
+        let fid = FlowId::from_index(self.flows.len());
         if dynamic {
-            if let Some(tr) = self.trace.as_mut() {
-                tr.event(
-                    self.q.now(),
-                    &Event::FlowArrive {
-                        flow: fid,
-                        mss: f.mss,
-                        jitter_bound: f.audit_jitter_bound.or(f.jitter.bound()),
-                        size: f.size,
-                    },
-                );
-            }
+            emit(&mut self.trace, self.q.now(), || Event::FlowArrive {
+                flow: fid,
+                mss: f.mss,
+                jitter_bound: f.audit_jitter_bound.or(f.jitter.bound()),
+                size: f.size,
+            });
         }
         let mut sender =
             Sender::new(fid, f.cca, f.mss, f.app_limit, f.start, self.sample_every);
         sender.set_transport(f.transport);
         sender.set_size(f.size);
-        self.senders.push(sender);
-        self.receivers.push(match f.transport {
-            Transport::Reliable => Receiver::new(fid, f.ack_policy),
-            Transport::Datagram => Receiver::new_datagram(fid, f.ack_policy),
+        self.flows.push(FlowSlot {
+            sender,
+            receiver: match f.transport {
+                Transport::Reliable => Receiver::new(fid, f.ack_policy),
+                Transport::Datagram => Receiver::new_datagram(fid, f.ack_policy),
+            },
+            jitter: JitterElement::new(f.jitter),
+            rm: f.rm,
+            loss: (f.loss_rate > 0.0).then(|| (f.loss_rate, Xoshiro256::new(f.loss_seed))),
+            wake_armed: None,
+            rto_scheduled: None,
+            drops: 0,
         });
-        self.jitters.push(JitterElement::new(f.jitter));
-        self.rm.push(f.rm);
-        self.loss.push(if f.loss_rate > 0.0 {
-            Some((f.loss_rate, Xoshiro256::new(f.loss_seed)))
-        } else {
-            None
-        });
-        self.wake_armed.push(None);
-        self.rto_scheduled.push(None);
         self.q.schedule_at(f.start, Ev::Wake(fid));
         fid
     }
 
     /// Direct access to a sender (warm starts, inspection).
     pub fn sender_mut(&mut self, flow: FlowId) -> &mut Sender<S> {
-        &mut self.senders[flow.index()]
+        &mut self.flows[flow.index()].sender
     }
 
     /// Direct access to the bottleneck (warm starts, inspection).
@@ -231,28 +247,24 @@ impl<S: SeqStore> Network<S> {
     fn pump(&mut self, flow: FlowId) {
         let now = self.q.now();
         loop {
-            match self.senders[flow.index()].try_emit(now) {
+            let slot = &mut self.flows[flow.index()];
+            match slot.sender.try_emit(now) {
                 Emit::Blocked => break,
                 Emit::WaitUntil(t) => {
-                    let stale = self.wake_armed[flow.index()].is_some_and(|armed| armed <= t);
+                    let stale = slot.wake_armed.is_some_and(|armed| armed <= t);
                     if t > now && t < self.end && !stale {
-                        self.wake_armed[flow.index()] = Some(t);
+                        slot.wake_armed = Some(t);
                         self.q.schedule_at(t, Ev::Wake(flow));
                     }
                     break;
                 }
                 Emit::Pkt(pkt) => {
-                    if let Some(tr) = self.trace.as_mut() {
-                        tr.event(
-                            now,
-                            &Event::Send {
-                                flow,
-                                seq: pkt.seq,
-                                bytes: pkt.bytes,
-                                retransmit: pkt.retransmit,
-                            },
-                        );
-                    }
+                    emit(&mut self.trace, now, || Event::Send {
+                        flow,
+                        seq: pkt.seq,
+                        bytes: pkt.bytes,
+                        retransmit: pkt.retransmit,
+                    });
                     self.arm_rto(flow);
                     self.inject(pkt);
                 }
@@ -263,7 +275,8 @@ impl<S: SeqStore> Network<S> {
     /// Push a packet into the path: loss element, then the bottleneck.
     fn inject(&mut self, pkt: Packet) {
         let now = self.q.now();
-        if let Some((p, rng)) = &mut self.loss[pkt.flow.index()] {
+        let slot = &mut self.flows[pkt.flow.index()];
+        if let Some((p, rng)) = &mut slot.loss {
             if rng.bernoulli(*p) {
                 return; // vanished on the path; RTO/dupacks will notice
             }
@@ -271,22 +284,16 @@ impl<S: SeqStore> Network<S> {
         let (flow, seq, bytes) = (pkt.flow, pkt.seq, pkt.bytes);
         match self.link.enqueue(now, pkt) {
             Enqueue::Dropped => {
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.event(now, &Event::Drop { flow, seq, bytes });
-                }
+                slot.drops += 1;
+                emit(&mut self.trace, now, || Event::Drop { flow, seq, bytes });
             }
             Enqueue::Accepted(first_departure) => {
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.event(
-                        now,
-                        &Event::Enqueue {
-                            flow,
-                            seq,
-                            bytes,
-                            queued_bytes: self.link.queued_bytes(),
-                        },
-                    );
-                }
+                emit(&mut self.trace, now, || Event::Enqueue {
+                    flow,
+                    seq,
+                    bytes,
+                    queued_bytes: self.link.queued_bytes(),
+                });
                 if let Some(t) = first_departure {
                     self.q.schedule_at(t, Ev::Depart);
                 }
@@ -295,9 +302,10 @@ impl<S: SeqStore> Network<S> {
     }
 
     fn arm_rto(&mut self, flow: FlowId) {
-        if let Some(deadline) = self.senders[flow.index()].rto_deadline() {
-            if deadline < self.end && self.rto_scheduled[flow.index()] != Some(deadline) {
-                self.rto_scheduled[flow.index()] = Some(deadline);
+        let slot = &mut self.flows[flow.index()];
+        if let Some(deadline) = slot.sender.rto_deadline() {
+            if deadline < self.end && slot.rto_scheduled != Some(deadline) {
+                slot.rto_scheduled = Some(deadline);
                 self.q.schedule_at(deadline, Ev::Rto(flow, deadline));
             }
         }
@@ -306,24 +314,156 @@ impl<S: SeqStore> Network<S> {
     /// Report a just-finished flow's retirement on the trace (take-once:
     /// the sender yields the completion exactly one time).
     fn report_completion(&mut self, flow: FlowId) {
+        let sender = &mut self.flows[flow.index()].sender;
+        if sender.take_completion().is_some() {
+            emit(&mut self.trace, self.q.now(), || {
+                let acct = sender.accounting();
+                Event::FlowComplete {
+                    flow,
+                    sent: acct.sent,
+                    delivered: acct.delivered,
+                    in_flight: acct.in_flight,
+                    lost: acct.lost,
+                    unresolved: acct.unresolved,
+                    spurious_rtx: acct.spurious_rtx,
+                }
+            });
+        }
+    }
+
+    /// What every sender-side event ends with: retire the flow if it just
+    /// finished, re-arm its timer, send what the window now allows.
+    fn after_sender_event(&mut self, flow: FlowId) {
+        self.report_completion(flow);
+        self.arm_rto(flow);
+        self.pump(flow);
+    }
+
+    fn on_wake(&mut self, f: FlowId) {
+        let slot = &mut self.flows[f.index()];
+        if slot.wake_armed == Some(self.q.now()) {
+            slot.wake_armed = None;
+        }
+        self.pump(f);
+    }
+
+    fn on_flow_arrival(&mut self) {
         let now = self.q.now();
-        if self.senders[flow.index()].take_completion().is_some() && self.trace.is_some() {
-            let acct = self.senders[flow.index()].accounting();
-            if let Some(tr) = self.trace.as_mut() {
-                tr.event(
-                    now,
-                    &Event::FlowComplete {
-                        flow,
-                        sent: acct.sent,
-                        delivered: acct.delivered,
-                        in_flight: acct.in_flight,
-                        lost: acct.lost,
-                        unresolved: acct.unresolved,
-                        spurious_rtx: acct.spurious_rtx,
-                    },
-                );
+        let Some(run) = self.workload.as_mut() else {
+            return;
+        };
+        if run.spawned >= run.spec.count {
+            return;
+        }
+        let k = run.spawned;
+        let size = run.draw_size();
+        let fc = run.spec.flow_config(k, now, size);
+        run.spawned += 1;
+        let next = (run.spawned < run.spec.count).then(|| now + run.next_interarrival());
+        self.add_flow(fc, true);
+        if let Some(t) = next {
+            if t < self.end {
+                self.q.schedule_at(t, Ev::FlowArrival);
             }
         }
+    }
+
+    fn on_depart(&mut self) {
+        let now = self.q.now();
+        let (pkt, next) = self.link.depart(now);
+        if let Some(t) = next {
+            self.q.schedule_at(t, Ev::Depart);
+        }
+        let f = pkt.flow;
+        if f == Self::PHANTOM {
+            return; // warm-start filler: occupies queue only
+        }
+        emit(&mut self.trace, now, || Event::Dequeue {
+            flow: f,
+            seq: pkt.seq,
+            bytes: pkt.bytes,
+            queued_bytes: self.link.queued_bytes(),
+        });
+        let slot = &mut self.flows[f.index()];
+        let at_element = now + slot.rm;
+        let release = slot.jitter.release_time(at_element, pkt.sent_at, pkt.bytes);
+        emit(&mut self.trace, now, || Event::JitterHold {
+            flow: f,
+            seq: pkt.seq,
+            arrive: at_element,
+            release,
+        });
+        self.q.schedule_at(release, Ev::DataArrive(pkt));
+    }
+
+    fn on_data_arrive(&mut self, pkt: Packet) {
+        let now = self.q.now();
+        let f = pkt.flow;
+        emit(&mut self.trace, now, || Event::JitterRelease { flow: f, seq: pkt.seq });
+        let out = self.flows[f.index()].receiver.on_data(now, pkt);
+        if let Some(deadline) = out.arm_flush {
+            self.q.schedule_at(deadline, Ev::RxFlush(f, deadline));
+        }
+        for ack in out.acks {
+            // ACK path is instantaneous (Rm is on the data path).
+            self.q.schedule_at(now, Ev::AckArrive(ack));
+        }
+    }
+
+    fn on_rx_flush(&mut self, f: FlowId, deadline: Time) {
+        let now = self.q.now();
+        for ack in self.flows[f.index()].receiver.on_flush(deadline) {
+            self.q.schedule_at(now, Ev::AckArrive(ack));
+        }
+    }
+
+    fn on_ack_arrive(&mut self, ack: Ack) {
+        let now = self.q.now();
+        let f = ack.flow;
+        let s = &mut self.flows[f.index()].sender;
+        let rtt_before = s.metrics.rtt.len();
+        s.process_ack(now, &ack);
+        emit(&mut self.trace, now, || {
+            // A new point in the RTT series means this ACK yielded a
+            // (Karn-valid) sample.
+            let rtt = if s.metrics.rtt.len() > rtt_before {
+                s.metrics.rtt.last().map(|(_, secs)| Dur::from_secs_f64(secs))
+            } else {
+                None
+            };
+            let acct = s.accounting();
+            Event::Ack {
+                flow: f,
+                cum_seq: ack.cum_seq,
+                rtt,
+                sent: acct.sent,
+                delivered: acct.delivered,
+                in_flight: acct.in_flight,
+                lost: acct.lost,
+                unresolved: acct.unresolved,
+                spurious_rtx: acct.spurious_rtx,
+            }
+        });
+        emit(&mut self.trace, now, || cwnd_update(f, s));
+        if self.trace.is_some() {
+            s.cca().internals(&mut |key, value| {
+                emit(&mut self.trace, now, || Event::Probe { flow: f, key, value });
+            });
+        }
+        self.after_sender_event(f);
+    }
+
+    fn on_rto(&mut self, f: FlowId, deadline: Time) {
+        let now = self.q.now();
+        let s = &mut self.flows[f.index()].sender;
+        if !s.on_rto(now, deadline) {
+            return; // stale timer: the deadline moved since it was armed
+        }
+        emit(&mut self.trace, now, || Event::Rto { flow: f });
+        emit(&mut self.trace, now, || cwnd_update(f, s));
+        // A timeout that writes off a datagram flow's last outstanding
+        // packets can retire the flow.
+        self.after_sender_event(f);
     }
 
     /// Run to completion and collect results.
@@ -336,12 +476,7 @@ impl<S: SeqStore> Network<S> {
     /// the "converged initial states" of the 2-flow scenario (proof step 3).
     // simlint: hot-root: the event loop — everything it reaches runs per event
     pub fn run_capture(mut self) -> (SimResult, Vec<cca::BoxCca>) {
-        // Diagnostic event tally, read once so the per-event bookkeeping is
-        // a predictable branch instead of an env lookup (or, previously, an
-        // unconditional array write) in the hot loop.
-        let evstats = std::env::var_os("NETSIM_EVSTATS").is_some();
-        let mut evcount = [0u64; 7];
-        let mut events: u64 = 0;
+        let mut counts = EvCounts::default();
         // Same-time events drain in one slot search and dispatch in
         // insertion order — the exact order the per-event pop loop
         // produced; events a handler schedules at the current instant
@@ -349,218 +484,41 @@ impl<S: SeqStore> Network<S> {
         // same-time cohort and is reused for the rest of the run.
         // simlint: allow(hot-path-alloc): single reused batch buffer, amortized across the run
         let mut batch: Vec<Ev> = Vec::new();
-        while let Some(now) = self.q.pop_batch_at_or_before(self.end, &mut batch) {
+        while self.q.pop_batch_at_or_before(self.end, &mut batch).is_some() {
             for ev in batch.drain(..) {
-                events += 1;
-                if evstats {
-                    evcount[match ev {
-                        Ev::Wake(_) => 0,
-                        Ev::Depart => 1,
-                        Ev::DataArrive(_) => 2,
-                        Ev::AckArrive(_) => 3,
-                        Ev::RxFlush(..) => 4,
-                        Ev::Rto(..) => 5,
-                        Ev::FlowArrival => 6,
-                    }] += 1;
-                }
                 match ev {
-                    Ev::Wake(f) => {
-                        if self.wake_armed[f.index()] == Some(now) {
-                            self.wake_armed[f.index()] = None;
-                        }
-                        self.pump(f);
-                    }
-                    Ev::FlowArrival => {
-                        let Some(run) = self.workload.as_mut() else {
-                            continue;
-                        };
-                        if run.spawned >= run.spec.count {
-                            continue;
-                        }
-                        let k = run.spawned;
-                        let size = run.draw_size();
-                        let fc = run.spec.flow_config(k, now, size);
-                        run.spawned += 1;
-                        let next = if run.spawned < run.spec.count {
-                            Some(now + run.next_interarrival())
-                        } else {
-                            None
-                        };
-                        self.add_flow(fc, true);
-                        if let Some(t) = next {
-                            if t < self.end {
-                                self.q.schedule_at(t, Ev::FlowArrival);
-                            }
-                        }
-                    }
-                    Ev::Depart => {
-                        let (pkt, next) = self.link.depart(now);
-                        if let Some(t) = next {
-                            self.q.schedule_at(t, Ev::Depart);
-                        }
-                        let f = pkt.flow;
-                        if f == Self::PHANTOM {
-                            continue; // warm-start filler: occupies queue only
-                        }
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.event(
-                                now,
-                                &Event::Dequeue {
-                                    flow: f,
-                                    seq: pkt.seq,
-                                    bytes: pkt.bytes,
-                                    queued_bytes: self.link.queued_bytes(),
-                                },
-                            );
-                        }
-                        let at_element = now + self.rm[f.index()];
-                        let release =
-                            self.jitters[f.index()].release_time(at_element, pkt.sent_at, pkt.bytes);
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.event(
-                                now,
-                                &Event::JitterHold {
-                                    flow: f,
-                                    seq: pkt.seq,
-                                    arrive: at_element,
-                                    release,
-                                },
-                            );
-                        }
-                        self.q.schedule_at(release, Ev::DataArrive(pkt));
-                    }
-                    Ev::DataArrive(pkt) => {
-                        let f = pkt.flow;
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.event(now, &Event::JitterRelease { flow: f, seq: pkt.seq });
-                        }
-                        let out = self.receivers[f.index()].on_data(now, pkt);
-                        if let Some(deadline) = out.arm_flush {
-                            self.q.schedule_at(deadline, Ev::RxFlush(f, deadline));
-                        }
-                        for ack in out.acks {
-                            // ACK path is instantaneous (Rm is on the data path).
-                            self.q.schedule_at(now, Ev::AckArrive(ack));
-                        }
-                    }
-                    Ev::RxFlush(f, deadline) => {
-                        for ack in self.receivers[f.index()].on_flush(deadline) {
-                            self.q.schedule_at(now, Ev::AckArrive(ack));
-                        }
-                    }
-                    Ev::AckArrive(ack) => {
-                        let f = ack.flow;
-                        let rtt_before = self.senders[f.index()].metrics.rtt.len();
-                        self.senders[f.index()].process_ack(now, &ack);
-                        if self.trace.is_some() {
-                            let s = &self.senders[f.index()];
-                            // A new point in the RTT series means this ACK
-                            // yielded a (Karn-valid) sample.
-                            let rtt = if s.metrics.rtt.len() > rtt_before {
-                                s.metrics
-                                    .rtt
-                                    .last()
-                                    .map(|(_, secs)| Dur::from_secs_f64(secs))
-                            } else {
-                                None
-                            };
-                            let acct = s.accounting();
-                            let cwnd = s.cwnd();
-                            let pacing = s.cca().pacing_rate();
-                            let mut probes: simcore::InlineVec<(&'static str, f64), 4> =
-                                simcore::InlineVec::new();
-                            s.cca().internals(&mut |k, v| probes.push((k, v)));
-                            if let Some(tr) = self.trace.as_mut() {
-                                tr.event(
-                                    now,
-                                    &Event::Ack {
-                                        flow: f,
-                                        cum_seq: ack.cum_seq,
-                                        rtt,
-                                        sent: acct.sent,
-                                        delivered: acct.delivered,
-                                        in_flight: acct.in_flight,
-                                        lost: acct.lost,
-                                        unresolved: acct.unresolved,
-                                        spurious_rtx: acct.spurious_rtx,
-                                    },
-                                );
-                                tr.event(now, &Event::CwndUpdate { flow: f, cwnd, pacing });
-                                for (key, value) in probes {
-                                    tr.event(now, &Event::Probe { flow: f, key, value });
-                                }
-                            }
-                        }
-                        self.report_completion(f);
-                        self.arm_rto(f);
-                        self.pump(f);
-                    }
-                    Ev::Rto(f, deadline) => {
-                        if self.senders[f.index()].on_rto(now, deadline) {
-                            if self.trace.is_some() {
-                                let cwnd = self.senders[f.index()].cwnd();
-                                let pacing = self.senders[f.index()].cca().pacing_rate();
-                                if let Some(tr) = self.trace.as_mut() {
-                                    tr.event(now, &Event::Rto { flow: f });
-                                    tr.event(now, &Event::CwndUpdate { flow: f, cwnd, pacing });
-                                }
-                            }
-                            // A timeout that writes off a datagram flow's last
-                            // outstanding packets can retire the flow.
-                            self.report_completion(f);
-                            self.arm_rto(f);
-                            self.pump(f);
-                        }
-                    }
+                    Ev::Wake(f) => { counts.wake += 1; self.on_wake(f) }
+                    Ev::Depart => { counts.depart += 1; self.on_depart() }
+                    Ev::DataArrive(pkt) => { counts.data_arrive += 1; self.on_data_arrive(pkt) }
+                    Ev::AckArrive(ack) => { counts.ack_arrive += 1; self.on_ack_arrive(ack) }
+                    Ev::RxFlush(f, t) => { counts.rx_flush += 1; self.on_rx_flush(f, t) }
+                    Ev::Rto(f, t) => { counts.rto += 1; self.on_rto(f, t) }
+                    Ev::FlowArrival => { counts.flow_arrival += 1; self.on_flow_arrival() }
                 }
             }
-        }
-        // Diagnostic: set NETSIM_EVSTATS=1 to print per-run event counts
-        // (this is how the pacing-timer duplication bug was found).
-        if evstats {
-            eprintln!(
-                "evstats: wake={} depart={} data={} ack={} flush={} rto={} arrive={} heap={}",
-                evcount[0], evcount[1], evcount[2], evcount[3], evcount[4], evcount[5],
-                evcount[6], self.q.len()
-            );
         }
         let end = self.end;
-        if self.trace.is_some() {
-            let queued = count_as_u64(
-                self.link.queued_packets().filter(|p| p.flow != Self::PHANTOM).count(),
-            );
-            if let Some(tr) = self.trace.as_mut() {
-                tr.event(end, &Event::RunEnd { queued_pkts: queued });
-                tr.finish(end);
-            }
+        if let Some(tr) = self.trace.as_mut() {
+            let queued = self.link.queued_packets().filter(|p| p.flow != Self::PHANTOM).count();
+            tr.event(end, &Event::RunEnd { queued_pkts: count_as_u64(queued) });
+            tr.finish(end);
         }
         let utilization = self.link.utilization(end);
         // simlint: allow(hot-path-alloc): end-of-run result assembly, once per run
-        let ccas: Vec<cca::BoxCca> = self.senders.iter().map(|s| s.cca_snapshot()).collect();
-        let link = self.link;
-        let jitters = self.jitters;
+        let ccas: Vec<cca::BoxCca> = self.flows.iter().map(|s| s.sender.cca_snapshot()).collect();
         let flows = self
-            .senders
+            .flows
             .into_iter()
             .enumerate()
-            .map(|(i, s)| {
-                let id = FlowId::from_index(i);
-                FlowRecord {
-                    id,
-                    metrics: s.metrics,
-                    drops: link.drops(id),
-                    jitter_clamps: jitters[i].clamp_violations(),
-                }
+            .map(|(i, s)| FlowRecord {
+                id: FlowId::from_index(i),
+                metrics: s.sender.metrics,
+                drops: s.drops,
+                jitter_clamps: s.jitter.clamp_violations(),
             })
             // simlint: allow(hot-path-alloc): end-of-run result assembly, once per run
             .collect();
-        let result = SimResult {
-            flows,
-            utilization,
-            end,
-            events,
-        };
-        (result, ccas)
+        (SimResult { flows, utilization, end, events: counts.total(), counts }, ccas)
     }
 }
 
@@ -930,5 +888,199 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    // ---- One handler at a time: put the network in the state the event
+    // finds it in, call the handler once, look at what it left behind. ----
+
+    const F0: FlowId = FlowId::from_raw(0);
+
+    /// One flow with a 3-packet constant window on a 12 Mbit/s link (1 ms
+    /// per 1500 B packet, room for 4), Rm = 40 ms; clock at zero with the
+    /// start-time wake popped, so the queue holds only what the handler
+    /// under test schedules.
+    fn idle_net(shape: impl FnOnce(FlowConfig) -> FlowConfig) -> Network {
+        let link = LinkConfig::new(Rate::from_mbps(12.0), 4 * 1500);
+        let flow = FlowConfig::bulk(Box::new(ConstCwnd::new(3 * 1500)), Dur::from_millis(40));
+        let mut net = Network::new(SimConfig::new(link, vec![shape(flow)], Dur::from_secs(10)));
+        assert!(matches!(net.q.pop(), Some((Time::ZERO, Ev::Wake(F0)))));
+        assert!(net.q.is_empty());
+        net
+    }
+
+    /// Move the clock to `t` the only way it moves: by popping an event.
+    fn advance(net: &mut Network, t: Time) {
+        net.q.schedule_at(t, Ev::FlowArrival);
+        net.q.pop();
+    }
+
+    /// The sender's next packet, as `pump` would get it.
+    fn emit_one(net: &mut Network) -> Packet {
+        let now = net.q.now();
+        match net.flows[0].sender.try_emit(now) {
+            Emit::Pkt(p) => p,
+            other => panic!("expected a packet, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn on_wake_sends_what_pacing_allows_and_arms_one_wake() {
+        // App-limited to the link rate: one packet per millisecond.
+        let mut net = idle_net(|f| f.with_app_limit(Some(Rate::from_mbps(12.0))));
+        net.flows[0].wake_armed = Some(Time::ZERO); // the wake being handled
+        net.on_wake(F0);
+        assert_eq!(net.link.queue_len(), 1);
+        // First departure, the next pacing wake, and the RTO.
+        assert_eq!(net.q.len(), 3);
+        assert_eq!(net.flows[0].wake_armed, Some(Time::from_millis(1)));
+        let rto = net.flows[0].rto_scheduled.expect("a sent packet arms the RTO");
+        assert_eq!(Some(rto), net.flows[0].sender.rto_deadline());
+        // A duplicate wake at the same instant must not arm a second timer
+        // of either kind.
+        net.on_wake(F0);
+        assert_eq!((net.link.queue_len(), net.q.len()), (1, 3));
+    }
+
+    #[test]
+    fn on_depart_forwards_the_head_through_rm_and_keeps_the_chain_going() {
+        let mut net = idle_net(|f| f);
+        let (a, b) = (emit_one(&mut net), emit_one(&mut net));
+        assert_eq!(net.link.enqueue(Time::ZERO, a), Enqueue::Accepted(Some(Time::from_millis(1))));
+        assert_eq!(net.link.enqueue(Time::ZERO, b), Enqueue::Accepted(None));
+        advance(&mut net, Time::from_millis(1));
+        net.on_depart();
+        assert_eq!(net.link.queue_len(), 1);
+        assert_eq!(net.q.len(), 2);
+        assert!(matches!(net.q.pop(), Some((t, Ev::Depart)) if t == Time::from_millis(2)));
+        // No jitter element: arrival is departure + Rm.
+        match net.q.pop() {
+            Some((t, Ev::DataArrive(p))) => assert_eq!((t, p.seq), (Time::from_millis(41), a.seq)),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn on_depart_discards_phantom_filler() {
+        let mut net = idle_net(|f| f);
+        net.prefill_queue(1500, 1500);
+        assert!(matches!(net.q.pop(), Some((_, Ev::Depart))));
+        net.on_depart();
+        assert_eq!((net.link.queue_len(), net.q.len()), (0, 0));
+    }
+
+    #[test]
+    fn on_data_arrive_acks_at_the_same_instant() {
+        let mut net = idle_net(|f| f);
+        let pkt = emit_one(&mut net);
+        advance(&mut net, Time::from_millis(41));
+        net.on_data_arrive(pkt);
+        assert_eq!(net.flows[0].receiver.packets_received, 1);
+        match net.q.pop() {
+            Some((t, Ev::AckArrive(ack))) => {
+                assert_eq!((t, ack.flow, ack.cum_seq), (Time::from_millis(41), F0, Some(pkt.seq)));
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(net.q.is_empty());
+    }
+
+    #[test]
+    fn on_data_arrive_under_delayed_acks_arms_the_flush_instead() {
+        let policy = AckPolicy::Delayed { max_pkts: 4, timeout: Dur::from_millis(10) };
+        let mut net = idle_net(|f| f.with_ack_policy(policy));
+        let pkt = emit_one(&mut net);
+        advance(&mut net, Time::from_millis(41));
+        net.on_data_arrive(pkt);
+        let due = Time::from_millis(51);
+        assert!(matches!(net.q.pop(), Some((t, Ev::RxFlush(F0, d))) if t == due && d == due));
+        assert!(net.q.is_empty());
+    }
+
+    #[test]
+    fn on_rx_flush_releases_the_held_ack_and_ignores_a_stale_timer() {
+        let policy = AckPolicy::Delayed { max_pkts: 4, timeout: Dur::from_millis(10) };
+        let mut net = idle_net(|f| f.with_ack_policy(policy));
+        let pkt = emit_one(&mut net);
+        let out = net.flows[0].receiver.on_data(Time::from_millis(41), pkt);
+        let due = out.arm_flush.expect("the first held packet arms the flush timer");
+        advance(&mut net, due);
+        net.on_rx_flush(F0, due - Dur::from_millis(1));
+        assert!(net.q.is_empty(), "a superseded timer releases nothing");
+        net.on_rx_flush(F0, due);
+        assert!(matches!(net.q.pop(), Some((t, Ev::AckArrive(a))) if t == due && a.cum_seq == Some(pkt.seq)));
+        assert!(net.q.is_empty());
+    }
+
+    #[test]
+    fn on_ack_arrive_opens_the_window_and_rearms_the_rto() {
+        let mut net = idle_net(|f| f);
+        let first = emit_one(&mut net);
+        emit_one(&mut net);
+        emit_one(&mut net);
+        assert_eq!(net.flows[0].sender.try_emit(Time::ZERO), Emit::Blocked);
+        let ack = net.flows[0]
+            .receiver
+            .on_data(Time::from_millis(41), first)
+            .ack()
+            .expect("per-packet policy acks at once");
+        advance(&mut net, Time::from_millis(41));
+        net.on_ack_arrive(ack);
+        assert_eq!(net.flows[0].sender.metrics.rtt.len(), 1);
+        // One packet acked, one packet sent: onto the idle link, so its
+        // departure is scheduled, and the RTO follows the new deadline.
+        assert_eq!(net.link.queue_len(), 1);
+        assert_eq!(net.q.len(), 2);
+        assert_eq!(net.q.peek_time(), Some(Time::from_millis(42)));
+        assert!(net.flows[0].rto_scheduled.is_some());
+        assert_eq!(net.flows[0].rto_scheduled, net.flows[0].sender.rto_deadline());
+        assert_eq!(net.flows[0].wake_armed, None);
+    }
+
+    #[test]
+    fn on_rto_retransmits_and_backs_off_and_ignores_a_stale_timer() {
+        let mut net = idle_net(|f| f);
+        // Three packets leave the sender and vanish on the path.
+        for _ in 0..3 {
+            emit_one(&mut net);
+        }
+        let deadline = net.flows[0].sender.rto_deadline().expect("data in flight arms the RTO");
+        advance(&mut net, deadline);
+        net.on_rto(F0, deadline - Dur::from_millis(1));
+        assert_eq!((net.flows[0].sender.metrics.timeouts, net.q.len()), (0, 0));
+        net.on_rto(F0, deadline);
+        assert_eq!(net.flows[0].sender.metrics.timeouts, 1);
+        let head = net.link.queued_packets().next().expect("go-back-N resends from the hole");
+        assert!(head.retransmit && head.seq == 0);
+        assert!(net.flows[0].rto_scheduled > Some(deadline), "the next timeout is later");
+        assert_eq!(net.flows[0].rto_scheduled, net.flows[0].sender.rto_deadline());
+        // The retransmissions' first departure and the re-armed RTO.
+        assert_eq!(net.q.len(), 2);
+    }
+
+    #[test]
+    fn on_flow_arrival_spawns_one_flow_and_reschedules_until_the_last() {
+        use crate::workload::{ArrivalProcess, SizeDist, Workload};
+        let wl = Workload::new(
+            2,
+            ArrivalProcess::Fixed { interval: Dur::from_millis(200) },
+            SizeDist::Fixed { bytes: 3000 },
+            Box::new(ConstCwnd::ten_packets()),
+            Dur::from_millis(20),
+        )
+        .with_start(Time::from_millis(100));
+        let link = LinkConfig::ample_buffer(Rate::from_mbps(12.0));
+        let mut net =
+            Network::new(SimConfig::new(link, vec![], Dur::from_secs(1)).with_workload(wl));
+        assert!(matches!(net.q.pop(), Some((t, Ev::FlowArrival)) if t == Time::from_millis(100)));
+        net.on_flow_arrival();
+        assert_eq!(net.flows.len(), 1);
+        assert_eq!(net.flows[0].sender.start(), Time::from_millis(100));
+        assert!(matches!(net.q.pop(), Some((t, Ev::Wake(F0))) if t == Time::from_millis(100)));
+        assert!(matches!(net.q.pop(), Some((t, Ev::FlowArrival)) if t == Time::from_millis(300)));
+        net.on_flow_arrival();
+        assert_eq!(net.flows.len(), 2);
+        // The last arrival schedules its own wake and no successor.
+        assert_eq!(net.q.len(), 1);
+        assert_eq!(net.link.queue_len(), 0);
     }
 }

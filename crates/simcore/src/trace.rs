@@ -559,8 +559,14 @@ impl TraceSink for RingSink {
 }
 
 /// Streams one JSON object per line to a writer (usually a file).
+///
+/// [`TraceSink::event`] cannot return an error, so the first write failure
+/// is remembered (and writing stops); [`TraceSink::finish`] panics with it,
+/// the way the [`Auditor`] reports a violation — a truncated trace must not
+/// end in a clean exit.
 pub struct JsonlSink {
     w: std::io::BufWriter<Box<dyn std::io::Write + Send>>,
+    failed: Option<std::io::Error>,
 }
 
 impl JsonlSink {
@@ -577,6 +583,7 @@ impl JsonlSink {
     pub fn from_writer(w: Box<dyn std::io::Write + Send>) -> JsonlSink {
         JsonlSink {
             w: std::io::BufWriter::new(w),
+            failed: None,
         }
     }
 }
@@ -584,12 +591,16 @@ impl JsonlSink {
 impl TraceSink for JsonlSink {
     fn event(&mut self, at: Time, ev: &Event) {
         use std::io::Write;
-        let _ = writeln!(self.w, "{}", ev.to_json(at));
+        if self.failed.is_none() {
+            self.failed = writeln!(self.w, "{}", ev.to_json(at)).err();
+        }
     }
 
     fn finish(&mut self, _at: Time) {
         use std::io::Write;
-        let _ = self.w.flush();
+        if let Some(e) = self.failed.take().or_else(|| self.w.flush().err()) {
+            panic!("trace output is incomplete: {e}");
+        }
     }
 }
 
@@ -1207,6 +1218,53 @@ mod tests {
         assert!(lines[0].contains("\"ev\":\"enqueue\""), "{text}");
         assert!(lines[1].contains("\"key\":\"x\""), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Accepts `room` bytes, then fails every write the way a full disk does.
+    struct FullDisk {
+        room: usize,
+        writes_after_full: Arc<Mutex<u32>>,
+    }
+
+    impl std::io::Write for FullDisk {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                *self.writes_after_full.lock().unwrap() += 1;
+                return Err(std::io::Error::other("disk full"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_sink_reports_a_failed_write_at_finish() {
+        // `events` small: the failure first shows when `finish` flushes the
+        // buffer. Large: it shows mid-run, when the buffer spills.
+        for events in [2u64, 2_000] {
+            let writes_after_full = Arc::new(Mutex::new(0));
+            let disk = FullDisk { room: 100, writes_after_full: writes_after_full.clone() };
+            let mut sink = JsonlSink::from_writer(Box::new(disk));
+            for i in 0..events {
+                sink.event(Time::from_millis(i), &enq(0));
+            }
+            let attempts = *writes_after_full.lock().unwrap();
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sink.finish(Time::from_millis(events));
+            }))
+            .expect_err("finish must not report success over a truncated trace");
+            let msg = died.downcast_ref::<String>().expect("panic carries a message");
+            assert!(msg.contains("disk full"), "{msg}");
+            if events > 2 {
+                // The first error is kept and nothing is written after it.
+                assert_eq!(attempts, 1);
+                assert_eq!(*writes_after_full.lock().unwrap(), 1);
+            }
+        }
     }
 
     #[test]

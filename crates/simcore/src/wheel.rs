@@ -1,4 +1,5 @@
-//! Hierarchical timer wheel: the storage engine behind [`EventQueue`].
+//! Hierarchical timer wheel: the simulator's future-event list
+//! ([`crate::engine::EventQueue`] is this type under its simulator name).
 //!
 //! A discrete-event simulator spends a large share of its cycles pushing and
 //! popping the future-event list. A binary heap does both in `O(log n)` with
@@ -30,7 +31,7 @@
 //! would silently corrupt causality in release builds otherwise, and the
 //! check costs one predictable branch per event.
 
-use crate::units::Time;
+use crate::units::{Dur, Time};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -168,6 +169,11 @@ impl<E> TimerWheel<E> {
         } else {
             self.file(e);
         }
+    }
+
+    /// Schedule `ev` to fire `after` from now.
+    pub fn schedule_after(&mut self, after: Dur, ev: E) {
+        self.schedule_at(self.now.saturating_add(after), ev);
     }
 
     /// File an event with tick strictly greater than `cursor` into the
@@ -354,7 +360,6 @@ impl<E> TimerWheel<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::Dur;
 
     #[test]
     fn fires_in_time_order_across_levels() {
