@@ -48,6 +48,8 @@ pub struct SweepReport {
     pub cached: usize,
     /// Invalid store entries that were detected and recomputed.
     pub recomputed: usize,
+    /// Rows that ran but could not be written to the store.
+    pub unpersisted: usize,
     /// True when the fault-injection kill hook stopped the run early.
     pub aborted: bool,
 }
@@ -109,6 +111,7 @@ pub fn run_stored(quick: bool, jobs: usize, opts: &StoreOptions) -> SweepReport 
             executed: inc.executed,
             cached: inc.cached,
             recomputed: inc.recomputed.len(),
+            unpersisted: inc.unpersisted.len(),
             aborted: true,
         };
     }
@@ -135,6 +138,7 @@ pub fn run_stored(quick: bool, jobs: usize, opts: &StoreOptions) -> SweepReport 
         executed: inc.executed,
         cached: inc.cached,
         recomputed: inc.recomputed.len(),
+        unpersisted: inc.unpersisted.len(),
         aborted: false,
     }
 }
@@ -170,11 +174,15 @@ impl SweepReport {
 
 impl fmt::Display for SweepReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let unpersisted = match self.unpersisted {
+            0 => String::new(),
+            n => format!(", {n} unpersisted"),
+        };
         writeln!(
             f,
             "Scenario grid (CCA × rate × jitter × seed) on the sweep engine —\n\
              flow 0 sees the jitter, flow 1 is clean\n\
-             [{} executed, {} cached, {} recomputed]:",
+             [{} executed, {} cached, {} recomputed{unpersisted}]:",
             self.executed, self.cached, self.recomputed
         )?;
         write!(f, "{}", self.table().render())
@@ -243,6 +251,21 @@ mod tests {
             "cached table is byte-identical"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unpersisted_count_shows_only_when_nonzero() {
+        let mut r = SweepReport {
+            rows: Vec::new(),
+            executed: 8,
+            cached: 0,
+            recomputed: 0,
+            unpersisted: 0,
+            aborted: false,
+        };
+        assert!(r.to_string().contains("[8 executed, 0 cached, 0 recomputed]:"), "{r}");
+        r.unpersisted = 2;
+        assert!(r.to_string().contains("[8 executed, 0 cached, 0 recomputed, 2 unpersisted]:"), "{r}");
     }
 
     #[test]

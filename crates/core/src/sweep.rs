@@ -30,8 +30,8 @@ use simcore::stats::Histogram;
 use simcore::store::{Checkpointer, Digest, Manifest, ReadError, Store, CODE_TAG};
 use simcore::units::{Dur, Rate, Time};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// The content key of a cacheable job: canonical config bytes plus the
@@ -615,9 +615,10 @@ pub struct StoreOptions {
     /// Manifest checkpoint cadence in wall time.
     pub checkpoint_wall: Duration,
     /// Crash-injection hook for the fault-injection suite and the CI
-    /// smoke: stop dispatching after this many rows have been persisted
-    /// this run, skip all remaining jobs, and return with `aborted` set —
-    /// *without* writing a final manifest, exactly as a kill between a
+    /// smoke: stop dispatching once this many rows have been handed to
+    /// the store writers this run, skip all remaining jobs, let the
+    /// writers persist what they were handed, and return with `aborted`
+    /// set — *without* any further manifest, exactly as a kill between a
     /// row's rename and the next checkpoint would. Production sweeps
     /// leave it `None`.
     pub kill_after: Option<usize>,
@@ -681,6 +682,10 @@ pub struct IncrementalReport {
     /// Rows whose store entry existed but failed validation, with the
     /// reported reason — each was recomputed, never silently served.
     pub recomputed: Vec<(String, String)>,
+    /// Rows that ran but could not be persisted, with the I/O error,
+    /// sorted. Each still reports its summary, stays out of the manifest,
+    /// and is recomputed by the next run.
+    pub unpersisted: Vec<(String, String)>,
     /// Jobs without a content key (always executed, never persisted).
     pub uncacheable: usize,
     /// True when the crash-injection hook fired: the run stopped early
@@ -710,19 +715,18 @@ enum Plan {
     Run,
 }
 
-/// Shared checkpoint state the workers feed.
+/// Shared checkpoint state the store writers feed.
 struct CkState {
     manifest: Manifest,
     cadence: Checkpointer,
-    /// Rows persisted by *this* run (the kill hook's trigger).
-    persisted: usize,
 }
 
 impl Sweep {
     /// Run the job list incrementally against a content-addressed store:
     /// rows whose digest is already present (and valid) are served from
     /// disk without simulating; everything else runs, is summarized, and
-    /// is persisted the moment it completes (write-temp-then-rename).
+    /// is handed to one of `jobs` store-writer threads that persist it
+    /// (write-temp-then-rename) while the worker simulates its next row.
     /// Periodic atomic manifest checkpoints plus per-row durability mean
     /// a killed sweep resumes where it stopped: re-running the same sweep
     /// executes only the rows the store does not hold — zero jobs when
@@ -825,13 +829,16 @@ impl Sweep {
         ));
 
         let abort = AtomicBool::new(false);
+        let handed_off = AtomicUsize::new(0);
+        let unpersisted: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
         let mut manifest = Manifest::new(name.clone(), store.tag(), total);
         manifest.done = done_digests;
         let ck = Mutex::new(CkState {
             manifest,
             cadence: Checkpointer::new(opts.checkpoint_rows, opts.checkpoint_wall),
-            persisted: 0,
         });
+        // One store writer per worker; none when no keyed job is left to run.
+        let writers = self.jobs.min(to_run.iter().filter(|(_, job)| job.key.is_some()).count());
         let audit = self.audit;
         let run_labels: Vec<String> = to_run.iter().map(|(_, j)| j.label.clone()).collect();
         let progress = |p: Progress| {
@@ -847,42 +854,71 @@ impl Sweep {
             }
         };
 
-        let reports = par::map(
-            to_run,
-            self.jobs,
-            |_i, (_index, job)| {
-                if abort.load(Ordering::Relaxed) {
-                    return None;
-                }
-                let digest = job.digest();
-                let config = if audit { job.config.with_audit(true) } else { job.config };
-                let result = Network::new(config).run();
-                let row = RowSummary::of(&job.label, job.meta, &result);
-                drop(result); // streaming: the SimResult dies in its worker
-                if let Some(d) = digest {
-                    if let Err(e) = store.write(&d, &row.to_store_bytes()) {
-                        // A row that cannot persist still reports; the next
-                        // run will recompute it.
-                        eprintln!("sweep: cannot persist {}: {e}", row.label);
-                    } else {
-                        let mut st = ck.lock().expect("checkpoint state lock");
-                        st.persisted += 1;
-                        st.manifest.done.push(d);
-                        if opts.kill_after.is_some_and(|n| st.persisted >= n) {
-                            // Simulated kill: stop here, between the row's
-                            // rename and the next manifest snapshot.
-                            abort.store(true, Ordering::Relaxed);
-                        } else if st.cadence.row_done() {
-                            if let Err(e) = st.manifest.save(&manifest_path) {
-                                eprintln!("sweep: cannot checkpoint: {e}");
-                            }
+        // Workers simulate, summarise and encode, then hand the row to one
+        // of `jobs` store writers and move on: the entry's `sync_all` and
+        // the manifest checkpoints run off the compute path. A writer
+        // lists a digest in the manifest only after its entry's rename
+        // returned, so a checkpoint never runs ahead of the store.
+        let reports = std::thread::scope(|scope| {
+            // Carries (digest, encoded summary, label).
+            let (tx, rx) = mpsc::sync_channel::<(Digest, Vec<u8>, String)>(self.jobs);
+            // Shared by the writers, and dropped with the last of them, so
+            // a worker's `send` fails rather than blocks if they all died.
+            let rx = Arc::new(Mutex::new(rx));
+            for _ in 0..writers {
+                let rx = Arc::clone(&rx);
+                let (store, ck, unpersisted, abort, manifest_path) =
+                    (&store, &ck, &unpersisted, &abort, &manifest_path);
+                scope.spawn(move || loop {
+                    let next = rx.lock().expect("row channel lock").recv();
+                    let Ok((d, bytes, label)) = next else { break };
+                    if let Err(e) = store.write(&d, &bytes) {
+                        // The row still reports; the next run recomputes it.
+                        eprintln!("sweep: cannot persist {label}: {e}");
+                        unpersisted.lock().expect("unpersisted list lock").push((label, e.to_string()));
+                        continue;
+                    }
+                    let mut st = ck.lock().expect("checkpoint state lock");
+                    st.manifest.done.push(d);
+                    // No checkpoint once the kill hook fired: its trigger
+                    // row set `abort` before the send this `recv` returned.
+                    if !abort.load(Ordering::Relaxed) && st.cadence.row_done() {
+                        if let Err(e) = st.manifest.save(manifest_path) {
+                            eprintln!("sweep: cannot checkpoint: {e}");
                         }
                     }
-                }
-                Some(row)
-            },
-            Some(&progress),
-        );
+                });
+            }
+            drop(rx);
+            par::map(
+                to_run,
+                self.jobs,
+                |_i, (_index, job)| {
+                    if abort.load(Ordering::Relaxed) {
+                        return None;
+                    }
+                    let digest = job.digest();
+                    let config = if audit { job.config.with_audit(true) } else { job.config };
+                    let result = Network::new(config).run();
+                    let row = RowSummary::of(&job.label, job.meta, &result);
+                    drop(result); // streaming: the SimResult dies in its worker
+                    if let Some(d) = digest {
+                        let n = handed_off.fetch_add(1, Ordering::Relaxed) + 1;
+                        if opts.kill_after.is_some_and(|k| n >= k) {
+                            // Simulated kill: this row is persisted, no
+                            // manifest snapshot follows it.
+                            abort.store(true, Ordering::Relaxed);
+                        }
+                        tx.send((d, row.to_store_bytes(), row.label.clone()))
+                            .expect("a store writer outlives every handed-off row");
+                    }
+                    Some(row)
+                },
+                Some(&progress),
+            )
+            // `tx` drops here: the writers drain the channel and exit, and
+            // the scope joins them before any report is assembled.
+        });
 
         let executed = reports
             .iter()
@@ -892,11 +928,13 @@ impl Sweep {
             })
             .count();
 
-        let ck = ck.into_inner().expect("checkpoint state unpoisoned after pool drain");
+        let ck = ck.into_inner().expect("checkpoint state unpoisoned after the writers joined");
+        let mut unpersisted = unpersisted.into_inner().expect("unpersisted list unpoisoned after the writers joined");
+        unpersisted.sort(); // writers finish in any order; the report does not
         if abort.load(Ordering::Relaxed) {
             say(&format!(
-                "sweep {name}: ABORTED by kill hook after {} persisted rows",
-                ck.persisted
+                "sweep {name}: ABORTED by kill hook after {} rows handed to the store",
+                handed_off.load(Ordering::Relaxed)
             ));
             return IncrementalReport {
                 name,
@@ -905,6 +943,7 @@ impl Sweep {
                 executed,
                 cached,
                 recomputed,
+                unpersisted,
                 uncacheable,
                 aborted: true,
                 rows: Vec::new(),
@@ -959,6 +998,7 @@ impl Sweep {
             executed,
             cached,
             recomputed,
+            unpersisted,
             uncacheable,
             aborted: false,
             rows,

@@ -235,7 +235,8 @@ impl Store {
     /// Write (or atomically replace) the entry for `d`. The bytes land in
     /// a unique temp file in the shard directory first and are renamed
     /// into place, so a reader (or a resumed sweep after a kill) can only
-    /// ever observe a complete entry under the final name.
+    /// ever observe a complete entry under the final name. On failure the
+    /// temp file is removed, so a failed write leaves nothing behind.
     pub fn write(&self, d: &Digest, payload: &[u8]) -> std::io::Result<()> {
         let final_path = self.path_of(d);
         let shard = final_path
@@ -249,10 +250,18 @@ impl Store {
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&self.encode(payload))?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, &final_path)
+        let written = f
+            .write_all(&self.encode(payload))
+            .and_then(|()| f.sync_all())
+            .and_then(|()| {
+                drop(f);
+                std::fs::rename(&tmp, &final_path)
+            });
+        if written.is_err() {
+            // Best effort: the write's own error is the one worth reporting.
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 
     /// Read and fully validate the entry for `d`, returning its payload.
@@ -508,6 +517,24 @@ mod tests {
             .map(|e| e.expect("dir entry").file_name())
             .collect();
         assert_eq!(shard_files, vec![std::ffi::OsString::from(d.hex())]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_write_leaves_no_temp_file() {
+        let dir = tmpdir("failed_write");
+        let store = Store::open(&dir).expect("tempdir store opens");
+        let d = Digest::of(b"squatted");
+        // A directory at the entry's final path: `rename` fails (EISDIR)
+        // after the temp file was written and synced.
+        std::fs::create_dir_all(store.path_of(&d)).expect("squat the entry path");
+        assert!(store.write(&d, b"payload").is_err(), "rename onto a directory must fail");
+        let litter: Vec<_> = std::fs::read_dir(dir.join(d.shard()))
+            .expect("shard dir exists")
+            .map(|e| e.expect("dir entry").file_name())
+            .filter(|n| n.to_string_lossy().contains(".tmp-"))
+            .collect();
+        assert!(litter.is_empty(), "failed write left {litter:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

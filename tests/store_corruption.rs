@@ -13,8 +13,12 @@
 //! For each, the next incremental run must report exactly one recomputed
 //! row (with a reason naming the damage), execute exactly one simulation,
 //! and leave the store byte-identical to its pre-corruption state.
+//!
+//! The write side too: a row whose entry cannot be written is reported in
+//! `IncrementalReport::unpersisted`, never listed in the manifest, and
+//! recomputed by the next run.
 
-use simcore::store::Store;
+use simcore::store::{Manifest, Store};
 use starvation::sweep::{CcaSpec, ScenarioSpec, StoreOptions, Sweep};
 use simcore::units::Dur;
 use std::path::{Path, PathBuf};
@@ -137,6 +141,39 @@ fn flipped_payload_byte_is_detected_and_recomputed() {
         bytes[last] ^= 0x20; // same length, different content
         std::fs::write(path, &bytes).expect("flip byte");
     });
+}
+
+#[test]
+fn unwritable_row_is_reported_kept_out_of_the_manifest_and_recomputed() {
+    let dir = tmp("unwritable");
+    let jobs = grid().expand();
+    let victim = &jobs[3];
+    let digest = victim.digest().expect("grid jobs are keyed");
+    // A directory at the entry's final path: the row's `rename` fails.
+    let squatter = Store::open(&dir).expect("store opens").path_of(&digest);
+    std::fs::create_dir_all(&squatter).expect("squat the entry path");
+
+    let report = Sweep::new("corruption-suite")
+        .jobs(2)
+        .run_incremental(grid().expand(), &StoreOptions::new(&dir));
+    assert!(!report.aborted);
+    assert_eq!(report.executed, 8, "the rest of the grid completes");
+    assert_eq!(report.panics(), 0);
+    assert_eq!(report.rows.len(), 8);
+    assert_eq!(report.unpersisted.len(), 1, "{:?}", report.unpersisted);
+    assert_eq!(report.unpersisted[0].0, victim.label);
+    let manifest = Manifest::load(&report.manifest_path).expect("final manifest saved");
+    assert_eq!(manifest.done.len(), 7);
+    assert!(!manifest.done.contains(&digest), "an unpersisted row is never listed");
+
+    std::fs::remove_dir(&squatter).expect("remove the squatter");
+    let resumed = Sweep::new("corruption-suite")
+        .jobs(2)
+        .run_incremental(grid().expand(), &StoreOptions::new(&dir));
+    assert_eq!((resumed.executed, resumed.cached), (1, 7), "exactly that row is recomputed");
+    assert!(resumed.unpersisted.is_empty());
+    assert!(Store::open(&dir).expect("store opens").read(&digest).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

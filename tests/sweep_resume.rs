@@ -16,6 +16,7 @@
 //!   manifest) is byte-identical to the baseline's.
 
 use starvation::sweep::{CcaSpec, ScenarioSpec, StoreOptions, Sweep};
+use simcore::store::{Manifest, Store};
 use simcore::units::Dur;
 use std::path::{Path, PathBuf};
 
@@ -122,6 +123,60 @@ fn kill_at_every_checkpoint_boundary_converges_to_baseline_bytes() {
             .collect();
         assert_eq!(rows, base_rows, "kill_n={kill_n}: report rows are byte-identical");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&base_dir);
+}
+
+#[test]
+fn manifest_never_runs_ahead_of_the_store() {
+    // Store writers list a digest only after its entry's rename returned,
+    // so whatever checkpoint a kill leaves behind names only readable
+    // entries — at every boundary, whichever thread took the snapshot.
+    let base_dir = tmp("ahead_baseline");
+    let _ = Sweep::new("resume-suite")
+        .jobs(1)
+        .run_incremental(grid().expand(), &StoreOptions::new(&base_dir).checkpoint_rows(1));
+    let base_files = store_files(&base_dir);
+
+    for jobs in [1, 2] {
+        let fresh_dir = tmp(&format!("ahead_fresh_j{jobs}"));
+        let fresh = Sweep::new("resume-suite")
+            .jobs(jobs)
+            .run_incremental(grid().expand(), &StoreOptions::new(&fresh_dir).checkpoint_rows(1));
+        assert_eq!(fresh.executed, GRID_ROWS);
+        assert_eq!(
+            store_files(&fresh_dir),
+            base_files,
+            "jobs={jobs}: a fresh store is byte-identical to the serial baseline"
+        );
+        let _ = std::fs::remove_dir_all(&fresh_dir);
+
+        for kill_n in 1..GRID_ROWS {
+            let dir = tmp(&format!("ahead_j{jobs}_kill{kill_n}"));
+            let killed = Sweep::new("resume-suite").jobs(jobs).run_incremental(
+                grid().expand(),
+                &StoreOptions::new(&dir).checkpoint_rows(1).kill_after(Some(kill_n)),
+            );
+            assert!(killed.aborted, "jobs={jobs} kill_n={kill_n}");
+            if let Some(manifest) = Manifest::load(&killed.manifest_path) {
+                let store = Store::open(&dir).expect("killed store opens");
+                assert!(manifest.done.len() <= killed.executed, "jobs={jobs} kill_n={kill_n}");
+                for d in &manifest.done {
+                    assert!(
+                        store.read(d).is_ok(),
+                        "jobs={jobs} kill_n={kill_n}: manifest lists {} but the store cannot serve it",
+                        d.hex()
+                    );
+                }
+            }
+
+            let resumed = Sweep::new("resume-suite")
+                .jobs(jobs)
+                .run_incremental(grid().expand(), &StoreOptions::new(&dir).checkpoint_rows(1));
+            assert_eq!(resumed.cached, killed.executed, "jobs={jobs} kill_n={kill_n}");
+            assert_eq!(store_files(&dir), base_files, "jobs={jobs} kill_n={kill_n}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
     let _ = std::fs::remove_dir_all(&base_dir);
 }
