@@ -24,11 +24,11 @@ use cca::jitter_aware::JitterAwareConfig;
 use cca::BoxCca;
 #[cfg(test)]
 use netsim::Network;
-use netsim::{FlowConfig, Jitter, LinkConfig, SimConfig, SimResult};
+use netsim::{FlowConfig, Jitter, LinkConfig, SimConfig};
 use simcore::par;
 use simcore::rng::Xoshiro256;
-use simcore::units::{Dur, Rate, Time};
-use starvation::sweep::{Sweep, SweepJob};
+use simcore::units::{Dur, Rate};
+use starvation::sweep::{RowSummary, Sweep, SweepJob};
 use std::fmt;
 
 /// One ablation row: configuration label and the two flows' throughputs.
@@ -113,13 +113,10 @@ struct Case {
 }
 
 impl Case {
-    fn row(&self, r: &SimResult) -> AblationRow {
+    fn row(&self, r: &RowSummary) -> AblationRow {
         let tput = |i: usize| match self.window {
-            Window::Full => r.flows[i].throughput_at(r.end).mbps(),
-            Window::SecondHalf => {
-                let half = Time(r.end.as_nanos() / 2);
-                r.flows[i].throughput_over(half, r.end).mbps()
-            }
+            Window::Full => r.flows[i].throughput_mbps,
+            Window::SecondHalf => r.flows[i].second_half_mbps,
         };
         AblationRow {
             group: self.group,
@@ -132,7 +129,7 @@ impl Case {
     #[cfg(test)]
     fn run_serial(&self) -> AblationRow {
         let r = Network::new(self.config.clone()).run();
-        self.row(&r)
+        self.row(&RowSummary::of("", None, &r))
     }
 }
 

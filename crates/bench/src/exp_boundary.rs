@@ -23,11 +23,11 @@ use cca::delay_aimd::DelayAimdConfig;
 use cca::BoxCca;
 #[cfg(test)]
 use netsim::Network;
-use netsim::{FlowConfig, Jitter, LinkConfig, SimConfig, SimResult};
+use netsim::{FlowConfig, Jitter, LinkConfig, SimConfig};
 use simcore::par;
 use simcore::rng::Xoshiro256;
-use simcore::units::{Dur, Rate, Time};
-use starvation::sweep::{Sweep, SweepJob};
+use simcore::units::{Dur, Rate};
+use starvation::sweep::{RowSummary, Sweep, SweepJob};
 use std::fmt;
 
 /// One cell of the phase diagram.
@@ -75,10 +75,9 @@ fn cell_config(osc_ms: u64, jitter_ms: u64, secs: u64) -> SimConfig {
 }
 
 /// Second-half throughput ratio of a finished cell run.
-fn cell_from(osc_ms: u64, jitter_ms: u64, r: &SimResult) -> BoundaryCell {
-    let half = Time(r.end.as_nanos() / 2);
-    let a = r.flows[0].throughput_over(half, r.end).mbps();
-    let b = r.flows[1].throughput_over(half, r.end).mbps();
+fn cell_from(osc_ms: u64, jitter_ms: u64, r: &RowSummary) -> BoundaryCell {
+    let a = r.flows[0].second_half_mbps;
+    let b = r.flows[1].second_half_mbps;
     BoundaryCell {
         osc_ms,
         jitter_ms,
@@ -90,7 +89,7 @@ fn cell_from(osc_ms: u64, jitter_ms: u64, r: &SimResult) -> BoundaryCell {
 #[cfg(test)]
 fn cell(osc_ms: u64, jitter_ms: u64, secs: u64) -> BoundaryCell {
     let r = Network::new(cell_config(osc_ms, jitter_ms, secs)).run();
-    cell_from(osc_ms, jitter_ms, &r)
+    cell_from(osc_ms, jitter_ms, &RowSummary::of("", None, &r))
 }
 
 /// Sweep the `Δ × D` grid using every available core.

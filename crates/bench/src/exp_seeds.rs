@@ -12,12 +12,12 @@
 //! byte-identical at any worker count.
 
 use crate::table::{fnum, TextTable};
-use netsim::{AckPolicy, FlowConfig, Jitter, LinkConfig, SimConfig, SimResult};
+use netsim::{AckPolicy, FlowConfig, Jitter, LinkConfig, SimConfig};
 use simcore::par;
 use simcore::rng::Xoshiro256;
 use simcore::stats::Summary;
 use simcore::units::{Dur, Rate};
-use starvation::sweep::{Sweep, SweepJob};
+use starvation::sweep::{RowSummary, Sweep, SweepJob};
 use std::fmt;
 
 /// One scenario's ratio distribution over seeds.
@@ -87,9 +87,9 @@ fn allegro_config(seed: u64, secs: u64) -> SimConfig {
     SimConfig::new(link, vec![lossy, clean], Dur::from_secs(secs))
 }
 
-/// Starved-over-other throughput ratio at the end of the run.
-fn end_ratio(r: &SimResult) -> f64 {
-    r.flows[1].throughput_at(r.end).mbps() / r.flows[0].throughput_at(r.end).mbps()
+/// Starved-over-other whole-run throughput ratio.
+fn end_ratio(r: &RowSummary) -> f64 {
+    r.flows[1].throughput_mbps / r.flows[0].throughput_mbps
 }
 
 /// A scenario constructor: `(seed, secs) → SimConfig`.

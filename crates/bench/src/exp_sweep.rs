@@ -11,10 +11,7 @@
 //! `repro report` queries the store afterwards.
 
 use crate::table::{fnum, TextTable};
-use simcore::par;
-use starvation::sweep::{
-    CcaSpec, GridMeta, IncrementalReport, ScenarioSpec, StoreOptions, Sweep,
-};
+use starvation::sweep::{CcaSpec, GridMeta, ScenarioSpec, StoreOptions, Sweep};
 use simcore::units::Dur;
 use std::fmt;
 
@@ -70,27 +67,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
         .sample_every(Dur::from_millis(20))
 }
 
-/// Run the demo grid using every available core and the default store.
-pub fn run(quick: bool) -> SweepReport {
-    run_with(quick, par::available_jobs())
-}
-
-/// Run the demo grid across `jobs` workers against the default store.
-pub fn run_with(quick: bool, jobs: usize) -> SweepReport {
-    run_stored(
-        quick,
-        jobs,
-        &StoreOptions::new(starvation::sweep::default_store_dir()),
-    )
-}
-
-/// Run the demo grid incrementally against a specific store. Returns both
-/// the rendered grid report and the raw [`IncrementalReport`] accounting.
-pub fn run_incremental(quick: bool, jobs: usize, opts: &StoreOptions) -> IncrementalReport {
-    let s = spec(quick);
-    Sweep::new(&s.name).jobs(jobs).run_incremental(s.expand(), opts)
-}
-
 /// Run the demo grid against `opts` and fold the per-row summaries into
 /// the grid table. Rows are extracted from the persisted [`RowSummary`]s
 /// (the `SimResult`s died in their workers), so the table is byte-stable
@@ -105,16 +81,7 @@ pub fn run_stored(quick: bool, jobs: usize, opts: &StoreOptions) -> SweepReport 
         .map(|(_, p)| p.rm.as_millis_f64())
         .collect();
     let inc = Sweep::new(&s.name).jobs(jobs).run_incremental(s.expand(), opts);
-    if inc.aborted {
-        return SweepReport {
-            rows: Vec::new(),
-            executed: inc.executed,
-            cached: inc.cached,
-            recomputed: inc.recomputed.len(),
-            unpersisted: inc.unpersisted.len(),
-            aborted: true,
-        };
-    }
+    // An aborted run reports no rows, so neither does the table.
     let rows = inc
         .rows
         .iter()
@@ -139,7 +106,7 @@ pub fn run_stored(quick: bool, jobs: usize, opts: &StoreOptions) -> SweepReport 
         cached: inc.cached,
         recomputed: inc.recomputed.len(),
         unpersisted: inc.unpersisted.len(),
-        aborted: false,
+        aborted: inc.aborted,
     }
 }
 

@@ -209,7 +209,7 @@ fn run_ccmc(quick: bool) {
 /// missing rows (a completed grid executes zero simulations); a killed
 /// sweep resumes from its last atomic checkpoint on the next invocation.
 /// `--fresh` recomputes every row; `--store DIR` overrides the store
-/// location (default `results/store`, or `SWEEP_STORE_DIR`).
+/// location (default `results/store`, beside the CSVs).
 ///
 /// Fault-injection hook (tests and the CI resume smoke only): the
 /// `SWEEP_KILL_AFTER` environment variable aborts the run after N rows
@@ -218,9 +218,7 @@ fn run_ccmc(quick: bool) {
 /// behind. An aborted run exits 3.
 fn run_sweep(args: &[String], quick: bool, jobs: usize) {
     let fresh = args.iter().any(|a| a == "--fresh");
-    let store_dir = parse_opt(args, "--store")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(starvation::sweep::default_store_dir);
+    let store_dir = store_dir(args);
     let kill_after = std::env::var("SWEEP_KILL_AFTER")
         .ok()
         .and_then(|v| v.parse::<usize>().ok());
@@ -248,9 +246,7 @@ fn run_sweep(args: &[String], quick: bool, jobs: usize) {
 /// parallel sweep report identically. Invalid store entries are listed on
 /// stderr and excluded (exit 0 still; they recompute on the next sweep).
 fn run_report(args: &[String]) {
-    let store_dir = parse_opt(args, "--store")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(starvation::sweep::default_store_dir);
+    let store_dir = store_dir(args);
     let parse_f64 = |flag: &str| -> Option<f64> {
         parse_opt(args, flag).map(|v| {
             v.parse().unwrap_or_else(|_| {
@@ -394,6 +390,13 @@ fn run_lint(args: &[String]) -> ! {
         report.warnings()
     );
     std::process::exit(if report.failed(deny_warnings) { 1 } else { 0 });
+}
+
+/// The result store: `--store DIR`, else `results/store`.
+fn store_dir(args: &[String]) -> std::path::PathBuf {
+    parse_opt(args, "--store")
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|| result_path("store"))
 }
 
 /// Parse a `--flag VALUE` / `--flag=VALUE` string option.

@@ -18,6 +18,7 @@
 //! [`RowSummary`]: starvation::sweep::RowSummary
 
 use crate::table::{fnum, TextTable};
+use simcore::json;
 use simcore::store::Store;
 use starvation::sweep::{RowSummary, SweepAggregate};
 use std::path::Path;
@@ -163,14 +164,13 @@ pub fn to_csv(rows: &[RowSummary]) -> String {
 /// JSON-lines: one object per row, flows nested. Field order is fixed,
 /// floats shortest-round-trip — byte-stable for a given store content.
 pub fn to_json(rows: &[RowSummary]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut out = String::new();
     for r in rows {
-        out.push_str(&format!("{{\"label\":\"{}\"", esc(&r.label)));
+        out.push_str(&format!("{{\"label\":\"{}\"", json::escape(&r.label)));
         if let Some(g) = &r.grid {
             out.push_str(&format!(
                 ",\"cca\":\"{}\",\"rate_mbps\":{},\"rtt_ms\":{},\"jitter_ms\":{},\"seed\":{}",
-                esc(&g.cca),
+                json::escape(&g.cca),
                 g.rate_mbps,
                 g.rtt_ms,
                 g.jitter_ms,
@@ -311,6 +311,22 @@ mod tests {
         assert_eq!(json.lines().count(), 8);
         assert!(json.lines().all(|l| l.starts_with("{\"label\":\"") && l.ends_with("]}")));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn json_escapes_control_characters_in_labels() {
+        // A `.scn` name may hold a tab or CR; the JSON line must stay valid.
+        let row = RowSummary {
+            label: "a\tb\rc".into(),
+            grid: None,
+            utilization: 1.0,
+            end_secs: 1.0,
+            jain: 1.0,
+            flows: Vec::new(),
+        };
+        let json = to_json(&[row]);
+        assert!(json.starts_with("{\"label\":\"a\\tb\\rc\","), "{json:?}");
+        assert!(!json.trim_end_matches('\n').bytes().any(|b| b < 0x20), "{json:?}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The parallel sweep engine: scenario grids → ordered simulation results.
+//! The parallel sweep engine: scenario grids → ordered row summaries.
 //!
 //! Every §5 reproduction and ablation is a sweep of independent
 //! deterministic simulations (seeds × parameters × scenarios). This module
@@ -9,8 +9,11 @@
 //!   determinism suite runs the *same* list at `jobs = 1` and `jobs = 4`
 //!   and asserts bit-identical results).
 //! * [`Sweep`] — the runner: executes a job list across `jobs` workers,
+//!   reduces each `SimResult` to a [`RowSummary`] inside its worker,
 //!   preserves job order in the output, and isolates per-job panics (a
-//!   diverging scenario reports instead of poisoning the sweep).
+//!   diverging scenario reports instead of poisoning the sweep). One
+//!   engine serves both calls: [`Sweep::run`] attaches no store,
+//!   [`Sweep::run_incremental`] reads and writes a content-addressed one.
 //! * [`ScenarioSpec`] — a declarative grid (CCA constructor × rate × RTT ×
 //!   jitter × seed) that expands into the two-flow asymmetric-jitter
 //!   topology used throughout the paper's §5/§6 experiments: flow 0 sees
@@ -65,13 +68,23 @@ pub struct SweepJob {
     pub meta: Option<GridMeta>,
 }
 
+/// A row label, checked: the store's row format is line-based, so a label
+/// must be one line.
+fn single_line(label: impl Into<String>) -> String {
+    let label = label.into();
+    assert!(!label.contains('\n'), "sweep job label {label:?} must be a single line");
+    label
+}
+
 impl SweepJob {
     /// Label a config. The job carries no content key, so incremental
     /// sweeps treat it as uncacheable; prefer [`SweepJob::keyed`] or
     /// [`SweepJob::from_scenario`] where a canonical form exists.
+    ///
+    /// Panics if `label` contains a newline.
     pub fn new(label: impl Into<String>, config: SimConfig) -> SweepJob {
         SweepJob {
-            label: label.into(),
+            label: single_line(label),
             config,
             key: None,
             meta: None,
@@ -79,6 +92,8 @@ impl SweepJob {
     }
 
     /// Label a config together with its canonical content key.
+    ///
+    /// Panics if `label` contains a newline.
     pub fn keyed(
         label: impl Into<String>,
         canonical: impl Into<String>,
@@ -86,7 +101,7 @@ impl SweepJob {
         config: SimConfig,
     ) -> SweepJob {
         SweepJob {
-            label: label.into(),
+            label: single_line(label),
             config,
             key: Some(JobKey { canonical: canonical.into(), seed }),
             meta: None,
@@ -133,54 +148,12 @@ impl SweepJob {
     }
 }
 
-/// One sweep row: the job's label and its result (or captured panic),
-/// at the same index the job occupied in the input list.
-pub struct SweepRow {
-    /// Position in the job list.
-    pub index: usize,
-    /// The job's label.
-    pub label: String,
-    /// Simulation result, or the panic message of a diverging scenario.
-    pub outcome: Result<SimResult, String>,
-}
-
-impl SweepRow {
-    /// The result, or a panic repeating the scenario's own panic message.
-    pub fn result(&self) -> &SimResult {
-        match &self.outcome {
-            Ok(r) => r,
-            Err(msg) => panic!("sweep job '{}' panicked: {msg}", self.label),
-        }
-    }
-}
-
-/// An executed sweep: its rows in job-list order.
-pub struct SweepReport {
-    /// The sweep's name.
-    pub name: String,
-    /// Worker count the sweep ran with.
-    pub jobs: usize,
-    /// One row per job, in job-list order.
-    pub rows: Vec<SweepRow>,
-}
-
-impl SweepReport {
-    /// Number of jobs that panicked.
-    pub fn panics(&self) -> usize {
-        self.rows.iter().filter(|r| r.outcome.is_err()).count()
-    }
-
-    /// Results in job order; panics on the first diverged job.
-    pub fn results(&self) -> Vec<&SimResult> {
-        self.rows.iter().map(SweepRow::result).collect()
-    }
-}
-
 /// Shared log-callback type for sweep progress messages.
 pub type SweepLog = Arc<dyn Fn(&str) + Send + Sync>;
 
 /// The sweep runner. Construct with [`Sweep::new`], configure with the
-/// builder methods, execute with [`Sweep::run`].
+/// builder methods, execute with [`Sweep::run`] or
+/// [`Sweep::run_incremental`].
 pub struct Sweep {
     name: String,
     jobs: usize,
@@ -233,54 +206,6 @@ impl Sweep {
     pub fn audit(mut self, on: bool) -> Sweep {
         self.audit = on;
         self
-    }
-
-    /// Run the job list. Rows come back in job-list order regardless of
-    /// worker count or completion order.
-    pub fn run(self, jobs_list: Vec<SweepJob>) -> SweepReport {
-        let labels: Vec<String> = jobs_list.iter().map(|j| j.label.clone()).collect();
-        let audit = self.audit;
-        let configs: Vec<SimConfig> = jobs_list
-            .into_iter()
-            .map(|j| if audit { j.config.with_audit(true) } else { j.config })
-            .collect();
-
-        let name = self.name;
-        let log = self.log;
-        let progress = |p: Progress| {
-            if let Some(log) = &log {
-                log(&format!(
-                    "sweep {name}: [{done}/{total}] {label} {status} in {ms:.0} ms",
-                    done = p.done,
-                    total = p.total,
-                    label = labels[p.index],
-                    status = if p.ok { "done" } else { "PANICKED" },
-                    ms = p.elapsed.as_secs_f64() * 1e3,
-                ));
-            }
-        };
-
-        let reports = par::map(
-            configs,
-            self.jobs,
-            |_i, config| Network::new(config).run(),
-            Some(&progress),
-        );
-
-        let rows: Vec<SweepRow> = reports
-            .into_iter()
-            .zip(labels)
-            .map(|(r, label)| SweepRow {
-                index: r.index,
-                label,
-                outcome: match r.outcome {
-                    par::JobOutcome::Ok(result) => Ok(result),
-                    par::JobOutcome::Panicked(msg) => Err(msg),
-                },
-            })
-            .collect();
-
-        SweepReport { name, jobs: self.jobs, rows }
     }
 }
 
@@ -363,7 +288,6 @@ impl RowSummary {
     /// summary, and drops the `SimResult` — a million-row sweep never
     /// holds more `SimResult`s than it has workers.
     pub fn of(label: &str, grid: Option<GridMeta>, r: &SimResult) -> RowSummary {
-        debug_assert!(!label.contains('\n'), "labels must be single-line");
         let half = Time(r.end.as_nanos() / 2);
         let flows = r
             .flows
@@ -399,7 +323,6 @@ impl RowSummary {
     pub fn to_store_bytes(&self) -> Vec<u8> {
         let mut out = format!("rowv1 {}\n", self.label);
         if let Some(g) = &self.grid {
-            debug_assert!(!g.cca.contains(char::is_whitespace), "cca slugs are whitespace-free");
             out.push_str(&format!(
                 "grid {} {} {} {} {}\n",
                 g.cca, g.rate_mbps, g.rtt_ms, g.jitter_ms, g.seed
@@ -588,18 +511,6 @@ impl SweepAggregate {
     }
 }
 
-/// Where the default result store lives: `SWEEP_STORE_DIR`, else
-/// `CARGO_MANIFEST_DIR/../../results/store` (the workspace layout), else
-/// `./results/store`.
-pub fn default_store_dir() -> PathBuf {
-    std::env::var("SWEEP_STORE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| match std::env::var("CARGO_MANIFEST_DIR") {
-            Ok(m) => PathBuf::from(m).join("../../results/store"),
-            Err(_) => PathBuf::from("results/store"),
-        })
-}
-
 /// Options for an incremental ([`Sweep::run_incremental`]) sweep.
 #[derive(Clone, Debug)]
 pub struct StoreOptions {
@@ -655,19 +566,30 @@ impl StoreOptions {
     }
 }
 
-/// One row of an incremental sweep: summary, or the panic message of a
-/// diverging scenario.
-pub struct IncRow {
+/// One sweep row: the job's label and its summary (or captured panic), at
+/// the same index the job occupied in the input list.
+pub struct SweepRow {
     /// Position in the job list.
     pub index: usize,
     /// The job's label.
     pub label: String,
-    /// Row summary (from cache or a fresh run), or the captured panic.
+    /// Row summary (from the store or a fresh run), or the panic message
+    /// of a diverging scenario.
     pub outcome: Result<RowSummary, String>,
 }
 
-/// An executed (or aborted) incremental sweep.
-pub struct IncrementalReport {
+impl SweepRow {
+    /// The summary, or a panic repeating the scenario's own panic message.
+    pub fn result(&self) -> &RowSummary {
+        match &self.outcome {
+            Ok(r) => r,
+            Err(msg) => panic!("sweep job '{}' panicked: {msg}", self.label),
+        }
+    }
+}
+
+/// An executed (or aborted) sweep.
+pub struct SweepReport {
     /// The sweep's name.
     pub name: String,
     /// Worker count.
@@ -675,7 +597,8 @@ pub struct IncrementalReport {
     /// Rows in the grid.
     pub total: usize,
     /// Simulations actually executed this run (cache misses, recomputes,
-    /// uncacheable jobs, and rows that panicked mid-run).
+    /// uncacheable jobs, and rows that panicked mid-run; every job when no
+    /// store is attached).
     pub executed: usize,
     /// Rows served from the store without simulating.
     pub cached: usize,
@@ -693,19 +616,23 @@ pub struct IncrementalReport {
     /// the same sweep again.
     pub aborted: bool,
     /// One row per job in job-list order (empty when `aborted`).
-    pub rows: Vec<IncRow>,
+    pub rows: Vec<SweepRow>,
     /// Streaming aggregate over completed rows, folded in job order.
     pub aggregate: SweepAggregate,
-    /// Where this sweep's checkpoint manifest lives.
-    pub manifest_path: PathBuf,
+    /// Where this sweep's checkpoint manifest lives (`None` without a
+    /// store).
+    pub manifest_path: Option<PathBuf>,
 }
 
-impl IncrementalReport {
+impl SweepReport {
     /// Number of rows that panicked.
     pub fn panics(&self) -> usize {
         self.rows.iter().filter(|r| r.outcome.is_err()).count()
     }
 }
+
+/// The report's former name; stays until `benchmark/` stops naming it.
+pub type IncrementalReport = SweepReport;
 
 /// What planning decided for one job.
 enum Plan {
@@ -722,6 +649,14 @@ struct CkState {
 }
 
 impl Sweep {
+    /// Run the job list with no store attached: every job runs, nothing is
+    /// read or written, no manifest is named and no writer thread starts.
+    /// Rows come back in job-list order regardless of worker count or
+    /// completion order.
+    pub fn run(self, jobs_list: Vec<SweepJob>) -> SweepReport {
+        self.execute(jobs_list, None)
+    }
+
     /// Run the job list incrementally against a content-addressed store:
     /// rows whose digest is already present (and valid) are served from
     /// disk without simulating; everything else runs, is summarized, and
@@ -731,15 +666,19 @@ impl Sweep {
     /// a killed sweep resumes where it stopped: re-running the same sweep
     /// executes only the rows the store does not hold — zero jobs when
     /// the grid is already complete.
-    ///
-    /// Unlike [`Sweep::run`], results stream: each `SimResult` is reduced
-    /// to a compact [`RowSummary`] inside its worker and dropped, and the
-    /// report's [`SweepAggregate`] is folded row by row — memory is
-    /// O(rows · flows) summaries, never O(rows) simulation states.
-    pub fn run_incremental(self, jobs_list: Vec<SweepJob>, opts: &StoreOptions) -> IncrementalReport {
+    pub fn run_incremental(self, jobs_list: Vec<SweepJob>, opts: &StoreOptions) -> SweepReport {
         let store = Store::open(&opts.dir).unwrap_or_else(|e| {
             panic!("cannot open result store {}: {e}", opts.dir.display())
         });
+        self.execute(jobs_list, Some((&store, opts)))
+    }
+
+    /// The one sweep engine. Results stream: each `SimResult` is reduced
+    /// to a compact [`RowSummary`] inside its worker and dropped, and the
+    /// report's [`SweepAggregate`] is folded row by row — memory is
+    /// O(rows · flows) summaries, never O(rows) simulation states. With a
+    /// store, planning serves valid entries and writers persist fresh rows.
+    fn execute(self, jobs_list: Vec<SweepJob>, store: Option<(&Store, &StoreOptions)>) -> SweepReport {
         let total = jobs_list.len();
         let name = self.name;
         let log = self.log;
@@ -753,18 +692,20 @@ impl Sweep {
         // labels, for unkeyed jobs). Names the manifest file, so the same
         // grid always checkpoints to the same place and different grids
         // sharing the store never fight over a manifest.
-        let mut identity = String::new();
-        for job in &jobs_list {
-            match job.digest() {
-                Some(d) => identity.push_str(&d.hex()),
-                None => identity.push_str(&job.label),
+        let manifest_path = store.map(|(_, opts)| {
+            let mut identity = String::new();
+            for job in &jobs_list {
+                match job.digest() {
+                    Some(d) => identity.push_str(&d.hex()),
+                    None => identity.push_str(&job.label),
+                }
+                identity.push('\n');
             }
-            identity.push('\n');
-        }
-        let sweep_digest = Digest::of(identity.as_bytes());
-        let manifest_path = opts.dir.join(format!("sweep-{}.manifest", &sweep_digest.hex()[..16]));
+            let sweep_digest = Digest::of(identity.as_bytes());
+            opts.dir.join(format!("sweep-{}.manifest", &sweep_digest.hex()[..16]))
+        });
 
-        if let Some(prior) = Manifest::load(&manifest_path) {
+        if let Some(prior) = manifest_path.as_deref().and_then(Manifest::load) {
             say(&format!(
                 "sweep {name}: found checkpoint ({}/{} rows, tag {})",
                 prior.done.len(),
@@ -777,19 +718,20 @@ impl Sweep {
         // validating read — an entry that exists but is truncated,
         // corrupt, stale-tagged or undecodable is *reported* and queued
         // for recomputation, never served.
+        let probe = store.filter(|(_, opts)| !opts.fresh);
         let mut recomputed: Vec<(String, String)> = Vec::new();
         let mut uncacheable = 0usize;
         let mut cached = 0usize;
         let mut done_digests: Vec<Digest> = Vec::new();
         let plans: Vec<Plan> = jobs_list
             .iter()
-            .map(|job| match job.digest() {
-                None => {
+            .map(|job| match (job.digest(), probe) {
+                (None, _) => {
                     uncacheable += 1;
                     Plan::Run
                 }
-                Some(_) if opts.fresh => Plan::Run,
-                Some(d) => match store.read(&d) {
+                (Some(_), None) => Plan::Run,
+                (Some(d), Some((store, _))) => match store.read(&d) {
                     Ok(bytes) => match RowSummary::from_store_bytes(&bytes) {
                         Ok(row) => {
                             cached += 1;
@@ -812,35 +754,37 @@ impl Sweep {
             })
             .collect();
 
-        // Execute the cache misses. Each worker persists its row and
-        // notes completion under the checkpoint lock; the manifest is
-        // snapshotted atomically on the configured cadence.
-        let to_run: Vec<(usize, SweepJob)> = jobs_list
+        // Execute the cache misses. Each worker hands its row to a store
+        // writer, which notes completion under the checkpoint lock; the
+        // manifest is snapshotted atomically on the configured cadence.
+        let to_run: Vec<SweepJob> = jobs_list
             .into_iter()
-            .enumerate()
             .zip(&plans)
             .filter(|(_, plan)| matches!(plan, Plan::Run))
-            .map(|(pair, _)| pair)
+            .map(|(job, _)| job)
             .collect();
-        say(&format!(
-            "sweep {name}: {cached} cached, {} to run ({} invalid entries recomputing)",
-            to_run.len(),
-            recomputed.len()
-        ));
+        if store.is_some() {
+            say(&format!(
+                "sweep {name}: {cached} cached, {} to run ({} invalid entries recomputing)",
+                to_run.len(),
+                recomputed.len()
+            ));
+        }
 
         let abort = AtomicBool::new(false);
         let handed_off = AtomicUsize::new(0);
         let unpersisted: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
-        let mut manifest = Manifest::new(name.clone(), store.tag(), total);
-        manifest.done = done_digests;
-        let ck = Mutex::new(CkState {
-            manifest,
-            cadence: Checkpointer::new(opts.checkpoint_rows, opts.checkpoint_wall),
+        let ck = store.map(|(store, opts)| {
+            let mut manifest = Manifest::new(name.clone(), store.tag(), total);
+            manifest.done = done_digests;
+            Mutex::new(CkState {
+                manifest,
+                cadence: Checkpointer::new(opts.checkpoint_rows, opts.checkpoint_wall),
+            })
         });
-        // One store writer per worker; none when no keyed job is left to run.
-        let writers = self.jobs.min(to_run.iter().filter(|(_, job)| job.key.is_some()).count());
+        let kill_after = store.and_then(|(_, opts)| opts.kill_after);
         let audit = self.audit;
-        let run_labels: Vec<String> = to_run.iter().map(|(_, j)| j.label.clone()).collect();
+        let run_labels: Vec<String> = to_run.iter().map(|j| j.label.clone()).collect();
         let progress = |p: Progress| {
             if let Some(log) = &log {
                 log(&format!(
@@ -865,46 +809,51 @@ impl Sweep {
             // Shared by the writers, and dropped with the last of them, so
             // a worker's `send` fails rather than blocks if they all died.
             let rx = Arc::new(Mutex::new(rx));
-            for _ in 0..writers {
-                let rx = Arc::clone(&rx);
-                let (store, ck, unpersisted, abort, manifest_path) =
-                    (&store, &ck, &unpersisted, &abort, &manifest_path);
-                scope.spawn(move || loop {
-                    let next = rx.lock().expect("row channel lock").recv();
-                    let Ok((d, bytes, label)) = next else { break };
-                    if let Err(e) = store.write(&d, &bytes) {
-                        // The row still reports; the next run recomputes it.
-                        eprintln!("sweep: cannot persist {label}: {e}");
-                        unpersisted.lock().expect("unpersisted list lock").push((label, e.to_string()));
-                        continue;
-                    }
-                    let mut st = ck.lock().expect("checkpoint state lock");
-                    st.manifest.done.push(d);
-                    // No checkpoint once the kill hook fired: its trigger
-                    // row set `abort` before the send this `recv` returned.
-                    if !abort.load(Ordering::Relaxed) && st.cadence.row_done() {
-                        if let Err(e) = st.manifest.save(manifest_path) {
-                            eprintln!("sweep: cannot checkpoint: {e}");
+            if let (Some((store, _)), Some(ck), Some(manifest_path)) = (store, &ck, manifest_path.as_deref()) {
+                // One store writer per worker; none when no keyed job is
+                // left to run.
+                let writers = self.jobs.min(to_run.iter().filter(|job| job.key.is_some()).count());
+                for _ in 0..writers {
+                    let rx = Arc::clone(&rx);
+                    let (unpersisted, abort) = (&unpersisted, &abort);
+                    scope.spawn(move || loop {
+                        let next = rx.lock().expect("row channel lock").recv();
+                        let Ok((d, bytes, label)) = next else { break };
+                        if let Err(e) = store.write(&d, &bytes) {
+                            // The row still reports; the next run recomputes it.
+                            eprintln!("sweep: cannot persist {label}: {e}");
+                            unpersisted.lock().expect("unpersisted list lock").push((label, e.to_string()));
+                            continue;
                         }
-                    }
-                });
+                        let mut st = ck.lock().expect("checkpoint state lock");
+                        st.manifest.done.push(d);
+                        // No checkpoint once the kill hook fired: its trigger
+                        // row set `abort` before the send this `recv` returned.
+                        if !abort.load(Ordering::Relaxed) && st.cadence.row_done() {
+                            if let Err(e) = st.manifest.save(manifest_path) {
+                                eprintln!("sweep: cannot checkpoint: {e}");
+                            }
+                        }
+                    });
+                }
             }
             drop(rx);
             par::map(
                 to_run,
                 self.jobs,
-                |_i, (_index, job)| {
+                |_i, job| {
                     if abort.load(Ordering::Relaxed) {
                         return None;
                     }
-                    let digest = job.digest();
+                    // Rows are keyed for the store only when one is attached.
+                    let digest = store.and_then(|_| job.digest());
                     let config = if audit { job.config.with_audit(true) } else { job.config };
                     let result = Network::new(config).run();
                     let row = RowSummary::of(&job.label, job.meta, &result);
                     drop(result); // streaming: the SimResult dies in its worker
                     if let Some(d) = digest {
                         let n = handed_off.fetch_add(1, Ordering::Relaxed) + 1;
-                        if opts.kill_after.is_some_and(|k| n >= k) {
+                        if kill_after.is_some_and(|k| n >= k) {
                             // Simulated kill: this row is persisted, no
                             // manifest snapshot follows it.
                             abort.store(true, Ordering::Relaxed);
@@ -928,70 +877,51 @@ impl Sweep {
             })
             .count();
 
-        let ck = ck.into_inner().expect("checkpoint state unpoisoned after the writers joined");
         let mut unpersisted = unpersisted.into_inner().expect("unpersisted list unpoisoned after the writers joined");
         unpersisted.sort(); // writers finish in any order; the report does not
-        if abort.load(Ordering::Relaxed) {
+        let aborted = abort.load(Ordering::Relaxed);
+        let mut rows: Vec<SweepRow> = Vec::new();
+        let mut aggregate = SweepAggregate::default();
+        if aborted {
             say(&format!(
                 "sweep {name}: ABORTED by kill hook after {} rows handed to the store",
                 handed_off.load(Ordering::Relaxed)
             ));
-            return IncrementalReport {
-                name,
-                jobs: self.jobs,
-                total,
-                executed,
-                cached,
-                recomputed,
-                unpersisted,
-                uncacheable,
-                aborted: true,
-                rows: Vec::new(),
-                aggregate: SweepAggregate::default(),
-                manifest_path,
-            };
-        }
-
-        // Final checkpoint: the complete (sorted, deduped) digest set. An
-        // interrupted-then-resumed sweep converges to the same bytes as an
-        // uninterrupted one.
-        if let Err(e) = ck.manifest.save(&manifest_path) {
-            eprintln!("sweep: cannot write final manifest: {e}");
-        }
-
-        // Assemble rows in job order and fold the aggregate in that same
-        // order, so the aggregate is identical at any worker count.
-        let mut fresh_rows = reports.into_iter();
-        let mut run_pos = 0usize;
-        let mut rows: Vec<IncRow> = Vec::with_capacity(total);
-        for (index, plan) in plans.into_iter().enumerate() {
-            let (label, outcome) = match plan {
-                Plan::Cached(row) => (row.label.clone(), Ok(row)),
-                Plan::Run => {
-                    let report = fresh_rows
-                        .next()
-                        .expect("one pool report exists per planned run");
-                    let label = run_labels[run_pos].clone();
-                    run_pos += 1;
-                    match report.outcome {
-                        par::JobOutcome::Ok(Some(row)) => (label, Ok(row)),
-                        par::JobOutcome::Ok(None) => {
-                            unreachable!("jobs are only skipped when aborting")
-                        }
-                        par::JobOutcome::Panicked(msg) => (label, Err(msg)),
-                    }
+        } else {
+            // Final checkpoint: the complete (sorted, deduped) digest set.
+            // An interrupted-then-resumed sweep converges to the same bytes
+            // as an uninterrupted one.
+            if let (Some(ck), Some(path)) = (ck, &manifest_path) {
+                let ck = ck.into_inner().expect("checkpoint state unpoisoned after the writers joined");
+                if let Err(e) = ck.manifest.save(path) {
+                    eprintln!("sweep: cannot write final manifest: {e}");
                 }
-            };
-            rows.push(IncRow { index, label, outcome });
-        }
-        let mut aggregate = SweepAggregate::default();
-        for row in &rows {
-            if let Ok(summary) = &row.outcome {
-                aggregate.fold(summary);
+            }
+
+            // Assemble rows in job order and fold the aggregate in that same
+            // order, so the aggregate is identical at any worker count.
+            let mut fresh_rows = reports.into_iter();
+            for (index, plan) in plans.into_iter().enumerate() {
+                let (label, outcome) = match plan {
+                    Plan::Cached(row) => (row.label.clone(), Ok(row)),
+                    Plan::Run => {
+                        let report = fresh_rows.next().expect("one pool report exists per planned run");
+                        let label = run_labels[report.index].clone();
+                        match report.outcome {
+                            par::JobOutcome::Ok(Some(row)) => (label, Ok(row)),
+                            par::JobOutcome::Ok(None) => unreachable!("jobs are only skipped when aborting"),
+                            par::JobOutcome::Panicked(msg) => (label, Err(msg)),
+                        }
+                    }
+                };
+                if let Ok(summary) = &outcome {
+                    aggregate.fold(summary);
+                }
+                rows.push(SweepRow { index, label, outcome });
             }
         }
 
-        IncrementalReport {
+        SweepReport {
             name,
             jobs: self.jobs,
             total,
@@ -1000,7 +930,7 @@ impl Sweep {
             recomputed,
             unpersisted,
             uncacheable,
-            aborted: false,
+            aborted,
             rows,
             aggregate,
             manifest_path,
@@ -1019,9 +949,17 @@ pub struct CcaSpec {
 
 impl CcaSpec {
     /// Name a constructor.
+    ///
+    /// Panics if `name` is empty or contains whitespace: it is one field
+    /// of the store's space-separated `grid` line.
     pub fn new(name: impl Into<String>, mk: impl Fn(u64) -> BoxCca + Send + Sync + 'static) -> CcaSpec {
+        let name = name.into();
+        assert!(
+            !name.is_empty() && !name.contains(char::is_whitespace),
+            "CCA name {name:?} must be non-empty and whitespace-free"
+        );
         CcaSpec {
-            name: name.into(),
+            name,
             mk: Arc::new(mk),
         }
     }
@@ -1221,11 +1159,6 @@ impl ScenarioSpec {
             })
             .collect()
     }
-
-    /// Expand and run the grid across `jobs` workers.
-    pub fn run(&self, jobs: usize) -> SweepReport {
-        Sweep::new(self.name.clone()).jobs(jobs).run(self.expand())
-    }
 }
 
 #[cfg(test)]
@@ -1269,7 +1202,7 @@ mod tests {
         assert_eq!(report.rows[0].label, "dsl-row");
         let a = report.rows[0].outcome.as_ref().expect("dsl row runs");
         let b = report.rows[1].outcome.as_ref().expect("hand row runs");
-        assert_eq!(a.flows[0].sent_bytes, b.flows[0].sent_bytes);
+        assert_eq!(a.flows[0].sent, b.flows[0].sent);
     }
 
     #[test]
@@ -1294,7 +1227,7 @@ mod tests {
         assert_eq!(report.panics(), 0);
         for (i, row) in report.rows.iter().enumerate() {
             assert_eq!(row.index, i);
-            assert!(row.result().flows[0].total_delivered() > 0, "{}", row.label);
+            assert!(row.result().flows[0].delivered > 0, "{}", row.label);
         }
     }
 
@@ -1305,11 +1238,30 @@ mod tests {
         let b = Sweep::new("b").jobs(3).run(jobs);
         for (ra, rb) in a.rows.iter().zip(&b.rows) {
             assert_eq!(ra.label, rb.label);
-            assert_eq!(
-                ra.result().flows[0].sent_bytes,
-                rb.result().flows[0].sent_bytes
-            );
+            assert_eq!(ra.result().to_store_bytes(), rb.result().to_store_bytes());
         }
+    }
+
+    #[test]
+    fn storeless_run_executes_everything_and_names_no_manifest() {
+        let report = Sweep::new("plain").jobs(2).run(tiny_spec().expand());
+        assert_eq!((report.total, report.executed, report.cached), (8, 8, 0));
+        assert!(report.manifest_path.is_none());
+        assert!(!report.aborted && report.unpersisted.is_empty());
+        assert_eq!(report.aggregate.rows, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "\"bbr v1\" must be non-empty and whitespace-free")]
+    fn cca_names_with_whitespace_are_rejected() {
+        let _ = CcaSpec::new("bbr v1", |s| Box::new(cca::Bbr::new(1500, s)));
+    }
+
+    #[test]
+    #[should_panic(expected = "label \"two\\nlines\" must be a single line")]
+    fn multi_line_labels_are_rejected() {
+        let config = tiny_spec().expand().remove(0).config;
+        let _ = SweepJob::new("two\nlines", config);
     }
 
     /// A CCA that diverges (panics) on its first acknowledgement — the
@@ -1368,7 +1320,7 @@ mod tests {
             Ok(_) => panic!("diverging scenario should have panicked"),
         }
         assert!(report.rows[2].outcome.is_ok(), "panic must not poison later jobs");
-        assert!(report.rows[2].result().flows[0].total_delivered() > 0);
+        assert!(report.rows[2].result().flows[0].delivered > 0);
     }
 
     #[test]
@@ -1379,15 +1331,10 @@ mod tests {
         let audited = Sweep::new("audited").jobs(2).audit(true).run(jobs);
         assert_eq!(audited.panics(), 0);
         for (ra, rb) in plain.rows.iter().zip(&audited.rows) {
+            assert_eq!(ra.result().flows[0].sent, rb.result().flows[0].sent, "{}", ra.label);
             assert_eq!(
-                ra.result().flows[0].sent_bytes,
-                rb.result().flows[0].sent_bytes,
-                "{}",
-                ra.label
-            );
-            assert_eq!(
-                ra.result().flows[0].total_delivered(),
-                rb.result().flows[0].total_delivered(),
+                ra.result().flows[0].delivered,
+                rb.result().flows[0].delivered,
                 "{}",
                 ra.label
             );
@@ -1415,8 +1362,7 @@ mod tests {
 
     #[test]
     fn row_summary_store_bytes_roundtrip() {
-        let report = Sweep::new("rt").jobs(1).run(tiny_spec().expand());
-        let row = report.rows[0].result();
+        let row = &Network::new(tiny_spec().expand().remove(0).config).run();
         let meta = GridMeta {
             cca: "const".to_string(),
             rate_mbps: 12.0,
@@ -1448,7 +1394,7 @@ mod tests {
         assert_eq!(first.cached, 0);
         assert!(!first.aborted);
         assert_eq!(first.aggregate.rows, 8);
-        assert!(first.manifest_path.exists());
+        assert!(first.manifest_path.as_ref().is_some_and(|p| p.exists()));
 
         let second = Sweep::new("inc").jobs(4).run_incremental(tiny_spec().expand(), &opts);
         assert_eq!(second.executed, 0, "complete grid re-runs nothing");

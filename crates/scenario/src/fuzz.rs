@@ -25,6 +25,7 @@ use crate::ast::{CcaId, Flow, JitterSpec, Link, Scenario, ALL_CCAS};
 use crate::compile::compile;
 use crate::gen::{boundary_jitter, mutate, ScenarioStrategy};
 use netsim::{Network, SimResult};
+use simcore::json;
 use simcore::par::{self, JobOutcome};
 use simcore::rng::Xoshiro256;
 use simcore::units::Dur;
@@ -318,22 +319,6 @@ fn fails_under_audit(s: &Scenario) -> bool {
     .is_err()
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Run the fuzzer. Writes `coverage.txt` (accumulated across runs),
 /// `findings.jsonl` (this run's findings) and one `finding-NNN.scn`
 /// reproducer per shrunk finding into `opts.out_dir`.
@@ -412,8 +397,8 @@ pub fn fuzz(opts: &FuzzOptions) -> Result<FuzzReport, String> {
         let first_line = message.lines().next().unwrap_or("");
         log_lines.push(format!(
             "{{\"finding\":{i},\"origin\":\"{}\",\"repro\":\"finding-{i:03}.scn\",\"shrink_evals\":{shrink_evals},\"message\":\"{}\"}}",
-            json_escape(&origin),
-            json_escape(first_line),
+            json::escape(&origin),
+            json::escape(first_line),
         ));
         findings.push(Finding {
             scenario: min,

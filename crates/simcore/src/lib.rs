@@ -16,6 +16,8 @@
 //! * [`wheel`] — a hierarchical timer wheel: `O(1)` near-horizon
 //!   schedule/pop with the exact `(time, seq)` firing order of a binary
 //!   heap, plus an overflow heap for the far future.
+//! * [`json`] — the one JSON string escaper behind every hand-written
+//!   JSON writer in the workspace.
 //! * [`inlinevec`] — a small-capacity inline vector that spills to the heap
 //!   only past `N` elements; used to keep per-event hot paths in `netsim`
 //!   allocation-free.
@@ -48,6 +50,7 @@ pub mod engine;
 pub mod filter;
 pub mod flow;
 pub mod inlinevec;
+pub mod json;
 pub mod par;
 pub mod rng;
 pub mod series;

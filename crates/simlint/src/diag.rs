@@ -5,6 +5,7 @@
 //! IDs never change meaning once shipped, so downstream tooling can match
 //! on them across repo history.
 
+use simcore::json::escape;
 use std::fmt;
 
 /// Lint severity. `Error`s always fail the run; `Warning`s fail it under
@@ -214,29 +215,12 @@ impl Diagnostic {
             self.rule.id(),
             self.rule.slug(),
             self.severity,
-            json_escape(&self.file),
+            escape(&self.file),
             self.line,
             self.col,
-            json_escape(&self.message)
+            escape(&self.message)
         )
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -280,6 +264,7 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let j = Diagnostic::new(RuleId::PanicPolicy, "a\"b.rs", 1, 1, "x\ny".into()).render_json();
+        assert!(j.contains("\"file\":\"a\\\"b.rs\"") && j.contains("\"message\":\"x\\ny\""), "{j}");
     }
 }

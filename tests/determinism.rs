@@ -6,9 +6,11 @@
 //! every shrunken testkit counterexample relies on to be reproducible.
 
 use netsim::{FlowConfig, Jitter, LinkConfig, Network, SimConfig, SimResult};
+use simcore::par;
 use simcore::rng::Xoshiro256;
 use simcore::series::TimeSeries;
 use simcore::units::{Dur, Rate};
+use starvation::sweep::SweepJob;
 
 /// A scenario that exercises every randomness source at once: two adaptive
 /// CCAs (BBR's probe phasing is itself seeded) on a shallow-buffer link,
@@ -98,11 +100,42 @@ fn same_seed_is_bit_identical_across_fresh_network_objects() {
     assert_bit_identical(&a, &b);
 }
 
+/// Run a sweep's job list through the worker pool at `workers` workers and
+/// keep every full `SimResult` (sweeps themselves keep only summaries).
+/// The pool is what interleaves rows, so this is where bit identity
+/// across worker counts is decided. Returns `(index, label, result)`.
+fn pool_run(jobs: &[SweepJob], workers: usize, audit: bool) -> Vec<(usize, String, SimResult)> {
+    let items: Vec<(String, SimConfig)> =
+        jobs.iter().map(|j| (j.label.clone(), j.config.clone().with_audit(audit))).collect();
+    par::map(items, workers, |_i, (label, cfg)| (label, Network::new(cfg).run()), None)
+        .into_iter()
+        .map(|r| {
+            let (label, result) = r.outcome.expect("determinism row");
+            (r.index, label, result)
+        })
+        .collect()
+}
+
+/// Serial (`jobs = 1`, inline on the calling thread) and parallel
+/// (`jobs = 4`) pool runs of one job list: same order, same labels,
+/// bit-identical results.
+fn assert_pool_serial_matches_parallel(jobs: &[SweepJob], audit: bool) -> Vec<SimResult> {
+    let serial = pool_run(jobs, 1, audit);
+    let parallel = pool_run(jobs, 4, audit);
+    assert_eq!(serial.len(), parallel.len());
+    for (s, p) in serial.iter().zip(&parallel) {
+        assert_eq!(s.0, p.0);
+        assert_eq!(s.1, p.1);
+        assert_bit_identical(&s.2, &p.2);
+    }
+    serial.into_iter().map(|(_, _, r)| r).collect()
+}
+
 /// The same scenario grid, expanded once and run at `jobs = 1` (inline on
 /// the calling thread) and `jobs = 4` (worker pool): every row must come
 /// back in the same order with a bit-identical result. This is the property
 /// that makes `repro ... --jobs N` produce byte-identical CSVs at any
-/// worker count.
+/// worker count; the sweep engine's own rows must agree byte for byte too.
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
     use starvation::sweep::{CcaSpec, ScenarioSpec, Sweep};
@@ -120,16 +153,15 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     let jobs = spec.expand();
     assert_eq!(jobs.len(), 16);
 
-    let serial = Sweep::new("det-serial")
-        .jobs(1)
-        .run(jobs.clone());
-    let parallel = Sweep::new("det-parallel").jobs(4).run(jobs);
+    assert_pool_serial_matches_parallel(&jobs, false);
 
+    let serial = Sweep::new("det-serial").jobs(1).run(jobs.clone());
+    let parallel = Sweep::new("det-parallel").jobs(4).run(jobs);
     assert_eq!(serial.rows.len(), parallel.rows.len());
     for (s, p) in serial.rows.iter().zip(&parallel.rows) {
         assert_eq!(s.index, p.index);
         assert_eq!(s.label, p.label);
-        assert_bit_identical(s.result(), p.result());
+        assert_eq!(s.result().to_store_bytes(), p.result().to_store_bytes(), "{}", s.label);
     }
 }
 
@@ -140,7 +172,7 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 /// worker pool interleaves rows arbitrarily.
 #[test]
 fn audited_parallel_sweep_is_bit_identical_to_serial() {
-    use starvation::sweep::{CcaSpec, ScenarioSpec, Sweep};
+    use starvation::sweep::{CcaSpec, ScenarioSpec};
 
     let spec = ScenarioSpec::new("determinism-audited")
         .cca(CcaSpec::new("bbr", |s| Box::new(cca::Bbr::new(1500, s))))
@@ -152,21 +184,7 @@ fn audited_parallel_sweep_is_bit_identical_to_serial() {
     let jobs = spec.expand();
     assert_eq!(jobs.len(), 4);
 
-    let serial = Sweep::new("det-audit-serial")
-        .jobs(1)
-        .audit(true)
-        .run(jobs.clone());
-    let parallel = Sweep::new("det-audit-parallel")
-        .jobs(4)
-        .audit(true)
-        .run(jobs);
-
-    assert_eq!(serial.rows.len(), parallel.rows.len());
-    for (s, p) in serial.rows.iter().zip(&parallel.rows) {
-        assert_eq!(s.index, p.index);
-        assert_eq!(s.label, p.label);
-        assert_bit_identical(s.result(), p.result());
-    }
+    assert_pool_serial_matches_parallel(&jobs, true);
 }
 
 /// The population-scale variant: the `workload-1k` canonical scenario
@@ -178,7 +196,6 @@ fn audited_parallel_sweep_is_bit_identical_to_serial() {
 #[test]
 fn workload_1k_parallel_sweep_is_bit_identical_to_serial() {
     use netsim::ArrivalProcess;
-    use starvation::sweep::{Sweep, SweepJob};
 
     let jobs: Vec<SweepJob> = [9u64, 10, 11, 12]
         .iter()
@@ -195,28 +212,15 @@ fn workload_1k_parallel_sweep_is_bit_identical_to_serial() {
         })
         .collect();
 
-    let serial = Sweep::new("wl-serial")
-        .jobs(1)
-        .audit(true)
-        .run(jobs.clone());
-    let parallel = Sweep::new("wl-parallel")
-        .jobs(4)
-        .audit(true)
-        .run(jobs);
-
-    assert_eq!(serial.rows.len(), parallel.rows.len());
-    for (s, p) in serial.rows.iter().zip(&parallel.rows) {
-        assert_eq!(s.index, p.index);
-        assert_eq!(s.label, p.label);
-        let r = s.result();
-        assert_eq!(r.flows.len(), 1000, "{}: every arrival spawned", s.label);
+    let serial = assert_pool_serial_matches_parallel(&jobs, true);
+    for (job, r) in jobs.iter().zip(&serial) {
+        assert_eq!(r.flows.len(), 1000, "{}: every arrival spawned", job.label);
         assert!(
             r.fcts().len() > 900,
             "{}: most flows should complete, got {}",
-            s.label,
+            job.label,
             r.fcts().len()
         );
-        assert_bit_identical(s.result(), p.result());
     }
 }
 

@@ -15,7 +15,7 @@
 //! and leave the store byte-identical to its pre-corruption state.
 //!
 //! The write side too: a row whose entry cannot be written is reported in
-//! `IncrementalReport::unpersisted`, never listed in the manifest, and
+//! `SweepReport::unpersisted`, never listed in the manifest, and
 //! recomputed by the next run.
 
 use simcore::store::{Manifest, Store};
@@ -162,7 +162,7 @@ fn unwritable_row_is_reported_kept_out_of_the_manifest_and_recomputed() {
     assert_eq!(report.rows.len(), 8);
     assert_eq!(report.unpersisted.len(), 1, "{:?}", report.unpersisted);
     assert_eq!(report.unpersisted[0].0, victim.label);
-    let manifest = Manifest::load(&report.manifest_path).expect("final manifest saved");
+    let manifest = Manifest::load(report.manifest_path.as_ref().expect("store-backed sweep")).expect("final manifest saved");
     assert_eq!(manifest.done.len(), 7);
     assert!(!manifest.done.contains(&digest), "an unpersisted row is never listed");
 

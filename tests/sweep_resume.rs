@@ -158,7 +158,7 @@ fn manifest_never_runs_ahead_of_the_store() {
                 &StoreOptions::new(&dir).checkpoint_rows(1).kill_after(Some(kill_n)),
             );
             assert!(killed.aborted, "jobs={jobs} kill_n={kill_n}");
-            if let Some(manifest) = Manifest::load(&killed.manifest_path) {
+            if let Some(manifest) = Manifest::load(killed.manifest_path.as_ref().expect("store-backed sweep")) {
                 let store = Store::open(&dir).expect("killed store opens");
                 assert!(manifest.done.len() <= killed.executed, "jobs={jobs} kill_n={kill_n}");
                 for d in &manifest.done {

@@ -14,10 +14,12 @@
 //! offending event and its recent-event context in the panic message.
 
 use netsim::{FlowConfig, Jitter, LinkConfig, Network, SimConfig, SimResult};
+use simcore::par;
 use simcore::rng::Xoshiro256;
 use simcore::series::TimeSeries;
 use simcore::trace::{NullSink, RingSink, TraceSink};
 use simcore::units::{Dur, Rate};
+use starvation::sweep::SweepJob;
 use std::sync::Arc;
 
 /// The determinism suite's stress scenario: two adaptive CCAs, shallow
@@ -100,9 +102,17 @@ fn auditing_is_observationally_inert() {
     assert_bit_identical(&plain, &audited, "audit");
 }
 
+/// A sweep's job list through the worker pool, keeping every full
+/// `SimResult` (sweeps themselves keep only summaries). The pool is what
+/// interleaves rows.
+fn pool_run(jobs: &[SweepJob], workers: usize, audit: bool) -> Vec<par::JobReport<SimResult>> {
+    let configs: Vec<SimConfig> = jobs.iter().map(|j| j.config.clone().with_audit(audit)).collect();
+    par::map(configs, workers, |_i, cfg| Network::new(cfg).run(), None)
+}
+
 #[test]
 fn audited_parallel_sweep_is_bit_identical_to_serial() {
-    use starvation::sweep::{CcaSpec, ScenarioSpec, Sweep};
+    use starvation::sweep::{CcaSpec, ScenarioSpec};
 
     let spec = ScenarioSpec::new("trace-metamorphic")
         .cca(CcaSpec::new("bbr", |s| Box::new(cca::Bbr::new(1500, s))))
@@ -115,28 +125,18 @@ fn audited_parallel_sweep_is_bit_identical_to_serial() {
     let jobs = spec.expand();
     assert_eq!(jobs.len(), 8);
 
-    let serial_plain = Sweep::new("tm-serial-plain").jobs(1).run(jobs.clone());
-    let serial_audit = Sweep::new("tm-serial-audit")
-        .jobs(1)
-        .audit(true)
-        .run(jobs.clone());
-    let parallel_audit = Sweep::new("tm-par-audit")
-        .jobs(4)
-        .audit(true)
-        .run(jobs);
+    let serial_plain = pool_run(&jobs, 1, false);
+    let serial_audit = pool_run(&jobs, 1, true);
+    let parallel_audit = pool_run(&jobs, 4, true);
 
-    assert_eq!(serial_audit.panics(), 0);
-    assert_eq!(parallel_audit.panics(), 0);
-    for ((p, s), par) in serial_plain
-        .rows
-        .iter()
-        .zip(&serial_audit.rows)
-        .zip(&parallel_audit.rows)
-    {
-        assert_eq!(p.label, s.label);
-        assert_eq!(p.label, par.label);
-        assert_bit_identical(p.result(), s.result(), &p.label);
-        assert_bit_identical(p.result(), par.result(), &p.label);
+    assert!(serial_audit.iter().all(|r| r.outcome.is_ok()), "serial audit panicked");
+    assert!(parallel_audit.iter().all(|r| r.outcome.is_ok()), "parallel audit panicked");
+    for (((job, p), s), par) in jobs.iter().zip(serial_plain).zip(serial_audit).zip(parallel_audit) {
+        assert_eq!(p.index, s.index);
+        assert_eq!(p.index, par.index);
+        let p = p.outcome.expect("plain row");
+        assert_bit_identical(&p, &s.outcome.expect("serial audited row"), &job.label);
+        assert_bit_identical(&p, &par.outcome.expect("parallel audited row"), &job.label);
     }
 }
 
@@ -173,7 +173,7 @@ fn auditor_catches_seeded_jitter_violation_with_context() {
 #[test]
 fn seeded_violation_surfaces_as_failed_sweep_row() {
     // The same seeded violation inside a sweep must fail only its row.
-    use starvation::sweep::{Sweep, SweepJob};
+    use starvation::sweep::Sweep;
     let link = LinkConfig::ample_buffer(Rate::from_mbps(12.0));
     let rm = Dur::from_millis(40);
     let clean = SweepJob::new(
