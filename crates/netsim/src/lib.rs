@@ -67,7 +67,7 @@ pub use config::{AckPolicy, FlowConfig, LinkConfig, PathSpec, SimConfig, Transpo
 pub use jitter::Jitter;
 pub use metrics::{EvCounts, FlowMetrics, FlowRecord, Percentiles, PopulationSummary, SimResult};
 pub use packet::FlowId;
-pub use pktstore::{PktStore, RefStore, SentPkt, SeqStore};
+pub use pktstore::{PktStore, SentPkt, SeqStore};
 pub use sender::Accounting;
 pub use sim::Network;
 pub use workload::{ArrivalProcess, SizeDist, Workload};

@@ -342,11 +342,6 @@ impl SimResult {
         stats::jain_index(&t).unwrap_or(1.0)
     }
 
-    /// Total bottleneck drops across flows.
-    pub fn total_drops(&self) -> u64 {
-        self.flows.iter().map(|f| f.drops).sum()
-    }
-
     /// Total jitter-element clamp violations across flows.
     pub fn total_jitter_clamps(&self) -> u64 {
         self.flows.iter().map(|f| f.jitter_clamps).sum()

@@ -40,14 +40,16 @@
 //! stays exact even for flows whose final segment is shorter than one
 //! MSS.
 //!
-//! [`RefStore`] preserves the original B-tree containers verbatim behind
-//! the same [`SeqStore`] trait. It exists as the oracle for the
-//! metamorphic equivalence suite (`tests/arena_equivalence.rs`): a
-//! `Network::<RefStore>` must reproduce the committed golden trace
-//! digests and bit-identical `SimResult`s against the arena.
+//! The original B-tree containers survive as `RefStore`, in this file's
+//! test module and with the same method names: the executable reference
+//! the arena is checked against. A seeded lockstep test drives both
+//! stores through hundreds of sender-legal operations per seed and
+//! compares every observable after each one. At the simulator level,
+//! `tests/arena_equivalence.rs` pins the audited trace digests of a
+//! loss/SACK-heavy grid and a Pareto workload (`tests/golden/arena/`),
+//! recorded with both stores driving the network and asserted equal.
 
 use simcore::units::{count_as_u64, Time};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// A transmitted-but-unacknowledged packet, as the sender remembers it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,53 +64,9 @@ pub struct SentPkt {
     pub retransmit: bool,
 }
 
-/// Storage of one flow's per-sequence packet state.
-///
-/// The contract mirrors the sender's original container operations
-/// one-for-one; every method documents the B-tree phrase it replaces.
-/// All sequence scans yield ascending order — the CCA observes losses in
-/// that order, so it is part of the determinism contract.
-pub trait SeqStore: Default {
-    /// Track `seq` as outstanding (`outstanding.insert(seq, pkt)`).
-    fn insert(&mut self, seq: u64, pkt: SentPkt);
-    /// The outstanding packet at `seq`, if any (`outstanding.get`).
-    fn get(&self, seq: u64) -> Option<SentPkt>;
-    /// Stop tracking an outstanding `seq` (`outstanding.remove`).
-    fn remove(&mut self, seq: u64) -> Option<SentPkt>;
-    /// Whether nothing is in flight (`outstanding.is_empty()`).
-    fn is_outstanding_empty(&self) -> bool;
-    /// Total bytes in flight (replaces `outstanding.len() * mss`).
-    fn outstanding_bytes(&self) -> u64;
-    /// Bytes SACKed or RTO-orphaned above the cumulative point
-    /// (replaces `(sacked.len() + limbo.len()) * mss`).
-    fn unresolved_bytes(&self) -> u64;
-    /// Move every outstanding sequence in `lo..=hi` to sacked (the SACK
-    /// block merge loop).
-    fn sack_range(&mut self, lo: u64, hi: u64);
-    /// Highest currently-sacked sequence (`sacked.iter().next_back()`).
-    fn max_sacked(&self) -> Option<u64>;
-    /// The cumulative ACK advanced to `new_cum`: drop every tracked
-    /// state at `seq <= new_cum` (the remove loop plus both
-    /// `split_off(&(new_cum + 1))` prunes).
-    fn advance_cum(&mut self, new_cum: u64);
-    /// End the recovery episode (`retx_done.clear()`).
-    fn clear_retx_done(&mut self);
-    /// Collect `(seq, sent_at, bytes)` of every outstanding hole at
-    /// `seq <= limit` — not yet retransmitted this episode and not
-    /// itself a retransmission — in ascending order.
-    fn collect_holes(&self, limit: u64, out: &mut Vec<(u64, Time, u64)>);
-    /// Declare a hole lost: drop it from outstanding and mark it
-    /// retransmitted for this episode (`outstanding.remove` +
-    /// `retx_done.insert`).
-    fn mark_hole_retx(&mut self, seq: u64);
-    /// Collect `(seq, sent_at, bytes)` of every outstanding sequence
-    /// strictly below `seq`, ascending (the datagram go-front scan).
-    fn collect_below(&self, seq: u64, out: &mut Vec<(u64, Time, u64)>);
-    /// Retransmission timeout: drain every outstanding sequence
-    /// (ascending) into `out`, orphan the sacked set into limbo, and
-    /// clear the episode's retx-done marks.
-    fn rto_reset(&mut self, out: &mut Vec<u64>);
-}
+/// Empty: the store API is [`PktStore`]'s inherent methods. Kept only
+/// because the separate `benchmark/` workspace still imports the name.
+pub trait SeqStore {}
 
 // ------------------------------------------------------------- arena ----
 
@@ -132,6 +90,11 @@ struct Slot {
 }
 
 /// The flat arena store (see the module docs for layout and invariants).
+///
+/// Its operations mirror the sender's original container operations
+/// one-for-one; each method names the B-tree phrase it replaces. All
+/// sequence scans yield ascending order — the CCA observes losses in that
+/// order, so it is part of the determinism contract.
 #[derive(Debug, Default)]
 pub struct PktStore {
     /// Slot `i` is sequence `origin + i`.
@@ -145,7 +108,6 @@ pub struct PktStore {
     sacked_count: u64,
     sacked_bytes: u64,
     sacked_max: Option<u64>,
-    limbo_count: u64,
     limbo_bytes: u64,
     /// Current recovery episode; bumping it clears every retx-done mark.
     epoch: u32,
@@ -208,17 +170,15 @@ impl PktStore {
                 self.sacked_bytes -= s.bytes;
             }
             _ => {
-                self.limbo_count -= 1;
                 self.limbo_bytes -= s.bytes;
             }
         }
         s.flags &= !(OUTSTANDING | SACKED | LIMBO | RETRANSMIT);
     }
-}
 
-impl SeqStore for PktStore {
+    /// Track `seq` as outstanding (`outstanding.insert(seq, pkt)`).
     // simlint: hot-root
-    fn insert(&mut self, seq: u64, pkt: SentPkt) {
+    pub fn insert(&mut self, seq: u64, pkt: SentPkt) {
         debug_assert!(seq >= self.base, "insert below the cumulative point");
         self.grow_for(seq);
         let i = (seq - self.origin) as usize;
@@ -237,7 +197,8 @@ impl SeqStore for PktStore {
         self.outstanding_bytes += pkt.bytes;
     }
 
-    fn get(&self, seq: u64) -> Option<SentPkt> {
+    /// The outstanding packet at `seq`, if any (`outstanding.get`).
+    pub fn get(&self, seq: u64) -> Option<SentPkt> {
         let s = self.slot(seq)?;
         if s.flags & OUTSTANDING == 0 {
             return None;
@@ -250,27 +211,34 @@ impl SeqStore for PktStore {
         })
     }
 
+    /// Stop tracking an outstanding `seq` (`outstanding.remove`).
     // simlint: hot-root
-    fn remove(&mut self, seq: u64) -> Option<SentPkt> {
+    pub fn remove(&mut self, seq: u64) -> Option<SentPkt> {
         let pkt = self.get(seq)?;
         self.clear_state(seq);
         Some(pkt)
     }
 
-    fn is_outstanding_empty(&self) -> bool {
+    /// Whether nothing is in flight (`outstanding.is_empty()`).
+    pub fn is_outstanding_empty(&self) -> bool {
         self.outstanding_count == 0
     }
 
-    fn outstanding_bytes(&self) -> u64 {
+    /// Total bytes in flight (replaces `outstanding.len() * mss`).
+    pub fn outstanding_bytes(&self) -> u64 {
         self.outstanding_bytes
     }
 
-    fn unresolved_bytes(&self) -> u64 {
+    /// Bytes SACKed or RTO-orphaned above the cumulative point
+    /// (replaces `(sacked.len() + limbo.len()) * mss`).
+    pub fn unresolved_bytes(&self) -> u64 {
         self.sacked_bytes + self.limbo_bytes
     }
 
+    /// Move every outstanding sequence in `lo..=hi` to sacked (the SACK
+    /// block merge loop).
     // simlint: hot-root
-    fn sack_range(&mut self, lo: u64, hi: u64) {
+    pub fn sack_range(&mut self, lo: u64, hi: u64) {
         let lo = lo.max(self.base);
         if lo > hi || lo >= self.top() {
             return;
@@ -294,12 +262,16 @@ impl SeqStore for PktStore {
         }
     }
 
-    fn max_sacked(&self) -> Option<u64> {
+    /// Highest currently-sacked sequence (`sacked.iter().next_back()`).
+    pub fn max_sacked(&self) -> Option<u64> {
         self.sacked_max
     }
 
+    /// The cumulative ACK advanced to `new_cum`: drop every tracked
+    /// state at `seq <= new_cum` (the remove loop plus both
+    /// `split_off(&(new_cum + 1))` prunes).
     // simlint: hot-root
-    fn advance_cum(&mut self, new_cum: u64) {
+    pub fn advance_cum(&mut self, new_cum: u64) {
         if new_cum < self.base {
             return;
         }
@@ -317,12 +289,16 @@ impl SeqStore for PktStore {
         );
     }
 
-    fn clear_retx_done(&mut self) {
+    /// End the recovery episode (`retx_done.clear()`).
+    pub fn clear_retx_done(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
     }
 
+    /// Collect `(seq, sent_at, bytes)` of every outstanding hole at
+    /// `seq <= limit` — not yet retransmitted this episode and not
+    /// itself a retransmission — in ascending order.
     // simlint: hot-root
-    fn collect_holes(&self, limit: u64, out: &mut Vec<(u64, Time, u64)>) {
+    pub fn collect_holes(&self, limit: u64, out: &mut Vec<(u64, Time, u64)>) {
         if self.base >= self.top() {
             return;
         }
@@ -338,7 +314,10 @@ impl SeqStore for PktStore {
         }
     }
 
-    fn mark_hole_retx(&mut self, seq: u64) {
+    /// Declare a hole lost: drop it from outstanding and mark it
+    /// retransmitted for this episode (`outstanding.remove` +
+    /// `retx_done.insert`).
+    pub fn mark_hole_retx(&mut self, seq: u64) {
         debug_assert!(
             self.slot(seq).is_some_and(|s| s.flags & OUTSTANDING != 0),
             "hole is not outstanding"
@@ -351,8 +330,10 @@ impl SeqStore for PktStore {
         s.retx_epoch = epoch;
     }
 
+    /// Collect `(seq, sent_at, bytes)` of every outstanding sequence
+    /// strictly below `seq`, ascending (the datagram go-front scan).
     // simlint: hot-root
-    fn collect_below(&self, seq: u64, out: &mut Vec<(u64, Time, u64)>) {
+    pub fn collect_below(&self, seq: u64, out: &mut Vec<(u64, Time, u64)>) {
         let end = seq.min(self.top());
         for q in self.base..end {
             let s = &self.slots[(q - self.origin) as usize];
@@ -362,7 +343,10 @@ impl SeqStore for PktStore {
         }
     }
 
-    fn rto_reset(&mut self, out: &mut Vec<u64>) {
+    /// Retransmission timeout: drain every outstanding sequence
+    /// (ascending) into `out`, orphan the sacked set into limbo, and
+    /// clear the episode's retx-done marks.
+    pub fn rto_reset(&mut self, out: &mut Vec<u64>) {
         for seq in self.base..self.top() {
             let i = (seq - self.origin) as usize;
             let s = &mut self.slots[i];
@@ -374,7 +358,6 @@ impl SeqStore for PktStore {
                 s.flags = (s.flags & !SACKED) | LIMBO;
                 self.sacked_count -= 1;
                 self.sacked_bytes -= bytes;
-                self.limbo_count += 1;
                 self.limbo_bytes += bytes;
             }
         }
@@ -388,115 +371,125 @@ impl SeqStore for PktStore {
 
 // --------------------------------------------------------- reference ----
 
-/// The original B-tree containers, verbatim, behind [`SeqStore`]: the
-/// executable specification the arena is checked against. Kept ordinary
-/// (`BTreeMap::range` walks, `split_off` prunes) on purpose — its value
-/// is being obviously correct, not fast.
-#[derive(Debug, Default)]
-pub struct RefStore {
-    outstanding: BTreeMap<u64, SentPkt>,
-    /// Sequence → wire bytes, for exact unresolved accounting.
-    sacked: BTreeMap<u64, u64>,
-    limbo: BTreeMap<u64, u64>,
-    retx_done: BTreeSet<u64>,
-    outstanding_bytes: u64,
-}
+/// The original B-tree containers, verbatim, with [`PktStore`]'s method
+/// names: the executable specification the arena is checked against.
+/// Kept ordinary (`BTreeMap::range` walks, `split_off` prunes) on purpose —
+/// its value is being obviously correct, not fast.
+#[cfg(test)]
+mod reference {
+    use super::SentPkt;
+    use simcore::units::Time;
+    use std::collections::{BTreeMap, BTreeSet};
 
-impl SeqStore for RefStore {
-    fn insert(&mut self, seq: u64, pkt: SentPkt) {
-        self.outstanding_bytes += pkt.bytes;
-        let prev = self.outstanding.insert(seq, pkt);
-        debug_assert!(prev.is_none(), "insert over a live outstanding entry");
+    #[derive(Debug, Default)]
+    pub(super) struct RefStore {
+        outstanding: BTreeMap<u64, SentPkt>,
+        /// Sequence → wire bytes, for exact unresolved accounting.
+        sacked: BTreeMap<u64, u64>,
+        limbo: BTreeMap<u64, u64>,
+        retx_done: BTreeSet<u64>,
+        outstanding_bytes: u64,
     }
 
-    fn get(&self, seq: u64) -> Option<SentPkt> {
-        self.outstanding.get(&seq).copied()
-    }
-
-    fn remove(&mut self, seq: u64) -> Option<SentPkt> {
-        let pkt = self.outstanding.remove(&seq)?;
-        self.outstanding_bytes -= pkt.bytes;
-        Some(pkt)
-    }
-
-    fn is_outstanding_empty(&self) -> bool {
-        self.outstanding.is_empty()
-    }
-
-    fn outstanding_bytes(&self) -> u64 {
-        self.outstanding_bytes
-    }
-
-    fn unresolved_bytes(&self) -> u64 {
-        self.sacked.values().sum::<u64>() + self.limbo.values().sum::<u64>()
-    }
-
-    fn sack_range(&mut self, lo: u64, hi: u64) {
-        while let Some((&seq, pkt)) = self.outstanding.range(lo..=hi).next() {
-            let bytes = pkt.bytes;
-            self.outstanding.remove(&seq);
-            self.outstanding_bytes -= bytes;
-            self.sacked.insert(seq, bytes);
+    impl RefStore {
+        pub(super) fn insert(&mut self, seq: u64, pkt: SentPkt) {
+            self.outstanding_bytes += pkt.bytes;
+            let prev = self.outstanding.insert(seq, pkt);
+            debug_assert!(prev.is_none(), "insert over a live outstanding entry");
         }
-    }
 
-    fn max_sacked(&self) -> Option<u64> {
-        self.sacked.keys().next_back().copied()
-    }
+        pub(super) fn get(&self, seq: u64) -> Option<SentPkt> {
+            self.outstanding.get(&seq).copied()
+        }
 
-    fn advance_cum(&mut self, new_cum: u64) {
-        let first = match self.outstanding.keys().next() {
-            Some(&f) => f,
-            None => new_cum + 1,
-        };
-        for seq in first..=new_cum {
-            if let Some(pkt) = self.outstanding.remove(&seq) {
-                self.outstanding_bytes -= pkt.bytes;
+        pub(super) fn remove(&mut self, seq: u64) -> Option<SentPkt> {
+            let pkt = self.outstanding.remove(&seq)?;
+            self.outstanding_bytes -= pkt.bytes;
+            Some(pkt)
+        }
+
+        pub(super) fn is_outstanding_empty(&self) -> bool {
+            self.outstanding.is_empty()
+        }
+
+        pub(super) fn outstanding_bytes(&self) -> u64 {
+            self.outstanding_bytes
+        }
+
+        pub(super) fn unresolved_bytes(&self) -> u64 {
+            self.sacked.values().sum::<u64>() + self.limbo.values().sum::<u64>()
+        }
+
+        pub(super) fn sack_range(&mut self, lo: u64, hi: u64) {
+            while let Some((&seq, pkt)) = self.outstanding.range(lo..=hi).next() {
+                let bytes = pkt.bytes;
+                self.outstanding.remove(&seq);
+                self.outstanding_bytes -= bytes;
+                self.sacked.insert(seq, bytes);
             }
         }
-        self.sacked = self.sacked.split_off(&(new_cum + 1));
-        self.limbo = self.limbo.split_off(&(new_cum + 1));
-    }
 
-    fn clear_retx_done(&mut self) {
-        self.retx_done.clear();
-    }
+        pub(super) fn max_sacked(&self) -> Option<u64> {
+            self.sacked.keys().next_back().copied()
+        }
 
-    fn collect_holes(&self, limit: u64, out: &mut Vec<(u64, Time, u64)>) {
-        out.extend(
-            self.outstanding
-                .range(..=limit)
-                .filter(|(s, p)| !self.retx_done.contains(s) && !p.retransmit)
-                .map(|(&s, p)| (s, p.sent_at, p.bytes)),
-        );
-    }
+        pub(super) fn advance_cum(&mut self, new_cum: u64) {
+            let first = match self.outstanding.keys().next() {
+                Some(&f) => f,
+                None => new_cum + 1,
+            };
+            for seq in first..=new_cum {
+                if let Some(pkt) = self.outstanding.remove(&seq) {
+                    self.outstanding_bytes -= pkt.bytes;
+                }
+            }
+            self.sacked = self.sacked.split_off(&(new_cum + 1));
+            self.limbo = self.limbo.split_off(&(new_cum + 1));
+        }
 
-    fn mark_hole_retx(&mut self, seq: u64) {
-        let pkt = self.outstanding.remove(&seq).expect("hole is outstanding");
-        self.outstanding_bytes -= pkt.bytes;
-        self.retx_done.insert(seq);
-    }
+        pub(super) fn clear_retx_done(&mut self) {
+            self.retx_done.clear();
+        }
 
-    fn collect_below(&self, seq: u64, out: &mut Vec<(u64, Time, u64)>) {
-        out.extend(
-            self.outstanding
-                .range(..seq)
-                .map(|(&s, p)| (s, p.sent_at, p.bytes)),
-        );
-    }
+        pub(super) fn collect_holes(&self, limit: u64, out: &mut Vec<(u64, Time, u64)>) {
+            out.extend(
+                self.outstanding
+                    .range(..=limit)
+                    .filter(|(s, p)| !self.retx_done.contains(s) && !p.retransmit)
+                    .map(|(&s, p)| (s, p.sent_at, p.bytes)),
+            );
+        }
 
-    fn rto_reset(&mut self, out: &mut Vec<u64>) {
-        out.extend(self.outstanding.keys().copied());
-        self.outstanding.clear();
-        self.outstanding_bytes = 0;
-        self.limbo.append(&mut self.sacked);
-        self.retx_done.clear();
+        pub(super) fn mark_hole_retx(&mut self, seq: u64) {
+            let pkt = self.outstanding.remove(&seq).expect("hole is outstanding");
+            self.outstanding_bytes -= pkt.bytes;
+            self.retx_done.insert(seq);
+        }
+
+        pub(super) fn collect_below(&self, seq: u64, out: &mut Vec<(u64, Time, u64)>) {
+            out.extend(
+                self.outstanding
+                    .range(..seq)
+                    .map(|(&s, p)| (s, p.sent_at, p.bytes)),
+            );
+        }
+
+        pub(super) fn rto_reset(&mut self, out: &mut Vec<u64>) {
+            out.extend(self.outstanding.keys().copied());
+            self.outstanding.clear();
+            self.outstanding_bytes = 0;
+            self.limbo.append(&mut self.sacked);
+            self.retx_done.clear();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::RefStore;
     use super::*;
+    use simcore::rng::Xoshiro256;
+    use std::ops::Range;
 
     fn pkt(at: u64, bytes: u64, retransmit: bool) -> SentPkt {
         SentPkt {
@@ -507,26 +500,25 @@ mod tests {
         }
     }
 
-    fn assert_same(a: &PktStore, r: &RefStore, step: &str) {
+    /// Every observable of the two stores: the scalar queries, `get` at
+    /// each sequence of `window`, and both full scans.
+    fn assert_same(a: &PktStore, r: &RefStore, window: Range<u64>, step: &str) {
         assert_eq!(a.is_outstanding_empty(), r.is_outstanding_empty(), "{step}: empties");
         assert_eq!(a.outstanding_bytes(), r.outstanding_bytes(), "{step}: outstanding bytes");
         assert_eq!(a.unresolved_bytes(), r.unresolved_bytes(), "{step}: unresolved bytes");
         assert_eq!(a.max_sacked(), r.max_sacked(), "{step}: max sacked");
-        for seq in 0..64 {
+        for seq in window {
             assert_eq!(a.get(seq), r.get(seq), "{step}: get({seq})");
         }
-        let mut ha = Vec::new();
-        let mut hr = Vec::new();
-        a.collect_holes(63, &mut ha);
-        r.collect_holes(63, &mut hr);
+        let (mut ha, mut hr) = (Vec::new(), Vec::new());
+        a.collect_holes(u64::MAX, &mut ha);
+        r.collect_holes(u64::MAX, &mut hr);
         assert_eq!(ha, hr, "{step}: holes");
-        let mut ba = Vec::new();
-        let mut br = Vec::new();
-        a.collect_below(64, &mut ba);
-        r.collect_below(64, &mut br);
+        let (mut ba, mut br) = (Vec::new(), Vec::new());
+        a.collect_below(u64::MAX, &mut ba);
+        r.collect_below(u64::MAX, &mut br);
         assert_eq!(ba, br, "{step}: below");
     }
-
     #[test]
     fn lockstep_matches_reference() {
         let mut a = PktStore::default();
@@ -537,11 +529,11 @@ mod tests {
             let p = pkt(100 + seq, 1500, false);
             a.insert(seq, p);
             r.insert(seq, p);
-            assert_same(&a, &r, "insert");
+            assert_same(&a, &r, 0..64, "insert");
         }
         a.sack_range(4, 6);
         r.sack_range(4, 6);
-        assert_same(&a, &r, "sack 4..=6");
+        assert_same(&a, &r, 0..64, "sack 4..=6");
         // Holes below the SACK ceiling get declared and retransmitted.
         let mut holes = Vec::new();
         a.collect_holes(6, &mut holes);
@@ -550,19 +542,19 @@ mod tests {
             a.mark_hole_retx(s);
             r.mark_hole_retx(s);
         }
-        assert_same(&a, &r, "holes declared");
+        assert_same(&a, &r, 0..64, "holes declared");
         // Retransmit copies re-enter; they are not holes.
         for seq in [0u64, 1, 2, 3] {
             let p = pkt(200 + seq, 1500, true);
             a.insert(seq, p);
             r.insert(seq, p);
         }
-        assert_same(&a, &r, "retransmits in flight");
+        assert_same(&a, &r, 0..64, "retransmits in flight");
         // Cumulative ACK covers 0..=6: prunes outstanding retx copies and
         // the whole sacked run.
         a.advance_cum(6);
         r.advance_cum(6);
-        assert_same(&a, &r, "cum 6");
+        assert_same(&a, &r, 0..64, "cum 6");
         // New episode after clearing retx-done: old marks must not leak.
         a.clear_retx_done();
         r.clear_retx_done();
@@ -571,7 +563,7 @@ mod tests {
         let mut ha = Vec::new();
         a.collect_holes(9, &mut ha);
         assert_eq!(ha.iter().map(|h| h.0).collect::<Vec<_>>(), vec![7, 8]);
-        assert_same(&a, &r, "new episode");
+        assert_same(&a, &r, 0..64, "new episode");
         // RTO: outstanding drains ascending, sacked orphans into limbo.
         let mut da = Vec::new();
         let mut dr = Vec::new();
@@ -579,13 +571,148 @@ mod tests {
         r.rto_reset(&mut dr);
         assert_eq!(da, dr);
         assert_eq!(da, vec![7, 8]);
-        assert_same(&a, &r, "after rto");
+        assert_same(&a, &r, 0..64, "after rto");
         assert_eq!(a.unresolved_bytes(), 1500, "seq 9 waits in limbo");
         // The cumulative ACK finally passes the limbo packet.
         a.advance_cum(9);
         r.advance_cum(9);
-        assert_same(&a, &r, "cum 9");
+        assert_same(&a, &r, 0..64, "cum 9");
         assert_eq!(a.unresolved_bytes(), 0);
+    }
+
+    /// A uniform draw from `lo..=hi`.
+    fn pick(rng: &mut Xoshiro256, lo: u64, hi: u64) -> u64 {
+        lo + rng.range_u64(hi - lo + 1)
+    }
+
+    /// Seeded lockstep: drive the arena and the reference through the same
+    /// operation sequence and compare every observable over the live window
+    /// after each one. The draws stay inside the sender's own call patterns
+    /// (the arena's `debug_assert!`s): fresh data extends the top by one,
+    /// retransmissions re-enter only sequences a hole declaration or an RTO
+    /// freed, cumulative ACKs never pass the top, and only outstanding
+    /// sequences are declared holes. Reliable and datagram paths are mixed
+    /// on purpose, so `remove` and the go-front scan meet SACKed, limbo and
+    /// retransmitted neighbours too.
+    #[test]
+    fn seeded_lockstep_matches_reference() {
+        // Effective operations, summed over every seed: fresh sends,
+        // retransmissions, SACKs that moved bytes, cumulative advances,
+        // holes declared, go-front losses, non-empty RTO drains, stray
+        // removes that hit, and arena compactions.
+        let mut hits = [0u64; 9];
+        for seed in 0..1000u64 {
+            let mut rng = Xoshiro256::new(seed);
+            let (mut a, mut r) = (PktStore::default(), RefStore::default());
+            // Next never-sent sequence, cumulative point + 1, and the
+            // sender's retransmission queue.
+            let (mut next, mut floor) = (0u64, 0u64);
+            let mut retx: Vec<u64> = Vec::new();
+            for step in 0..400u64 {
+                let origin = a.origin;
+                match rng.range_u64(10) {
+                    0..=2 => {
+                        let bytes = [1500, 1500, 700, 1][rng.range_u64(4) as usize];
+                        let p = SentPkt { delivered_at_send: step, ..pkt(step, bytes, false) };
+                        a.insert(next, p);
+                        r.insert(next, p);
+                        next += 1;
+                        hits[0] += 1;
+                    }
+                    3 => {
+                        retx.retain(|&q| q >= floor);
+                        if !retx.is_empty() {
+                            let q = retx.remove(0);
+                            a.insert(q, pkt(step, 1500, true));
+                            r.insert(q, pkt(step, 1500, true));
+                            hits[1] += 1;
+                        }
+                    }
+                    4 => {
+                        // A SACK block, possibly reaching below the
+                        // cumulative point or past the top.
+                        let lo = pick(&mut rng, floor.saturating_sub(2), next + 1);
+                        let hi = lo + rng.range_u64(8);
+                        let before = r.unresolved_bytes();
+                        a.sack_range(lo, hi);
+                        r.sack_range(lo, hi);
+                        hits[2] += u64::from(r.unresolved_bytes() != before);
+                    }
+                    5 if next > 0 => {
+                        // The current cumulative point is a no-op advance.
+                        let cum = pick(&mut rng, floor.saturating_sub(1), next - 1);
+                        a.advance_cum(cum);
+                        r.advance_cum(cum);
+                        hits[3] += u64::from(cum >= floor);
+                        floor = floor.max(cum + 1);
+                    }
+                    6 if rng.range_u64(4) == 0 => {
+                        a.clear_retx_done();
+                        r.clear_retx_done();
+                    }
+                    6 => {
+                        let limit = pick(&mut rng, floor.saturating_sub(1), next);
+                        let (mut ha, mut hr) = (Vec::new(), Vec::new());
+                        a.collect_holes(limit, &mut ha);
+                        r.collect_holes(limit, &mut hr);
+                        assert_eq!(ha, hr, "seed {seed} step {step}: holes to {limit}");
+                        for &(q, _, _) in &ha {
+                            a.mark_hole_retx(q);
+                            r.mark_hole_retx(q);
+                            retx.push(q);
+                        }
+                        hits[4] += count_as_u64(ha.len());
+                    }
+                    7 => {
+                        // Datagram ACK: everything outstanding below the
+                        // acknowledged packet is lost, then the floor moves.
+                        let q = pick(&mut rng, floor.saturating_sub(1), next);
+                        let got = a.remove(q);
+                        assert_eq!(got, r.remove(q), "seed {seed} step {step}: remove({q})");
+                        if got.is_some() {
+                            let (mut ba, mut br) = (Vec::new(), Vec::new());
+                            a.collect_below(q, &mut ba);
+                            r.collect_below(q, &mut br);
+                            assert_eq!(ba, br, "seed {seed} step {step}: below {q}");
+                            for &(l, _, _) in &ba {
+                                assert_eq!(a.remove(l), r.remove(l), "seed {seed} step {step}");
+                            }
+                            a.advance_cum(q);
+                            r.advance_cum(q);
+                            floor = floor.max(q + 1);
+                            hits[5] += count_as_u64(ba.len());
+                        }
+                    }
+                    8 => {
+                        let (mut da, mut dr) = (Vec::new(), Vec::new());
+                        a.rto_reset(&mut da);
+                        r.rto_reset(&mut dr);
+                        assert_eq!(da, dr, "seed {seed} step {step}: rto drain");
+                        hits[6] += u64::from(!da.is_empty());
+                        for q in da {
+                            if !retx.contains(&q) {
+                                retx.push(q);
+                            }
+                        }
+                    }
+                    _ => {
+                        // A stray query or removal anywhere near the window.
+                        let q = pick(&mut rng, floor.saturating_sub(2), next + 1);
+                        let (mut ba, mut br) = (Vec::new(), Vec::new());
+                        a.collect_below(q, &mut ba);
+                        r.collect_below(q, &mut br);
+                        assert_eq!(ba, br, "seed {seed} step {step}: below {q}");
+                        let got = a.remove(q);
+                        assert_eq!(got, r.remove(q), "seed {seed} step {step}: remove({q})");
+                        hits[7] += u64::from(got.is_some());
+                    }
+                }
+                hits[8] += u64::from(a.origin != origin);
+                let window = floor.saturating_sub(2)..next + 2;
+                assert_same(&a, &r, window, &format!("seed {seed} step {step}"));
+            }
+        }
+        assert!(hits.iter().all(|&h| h >= 100), "an operation was barely exercised: {hits:?}");
     }
 
     #[test]
@@ -623,7 +750,7 @@ mod tests {
             r.sack_range(cum + 2, cum + 3);
             a.advance_cum(cum);
             r.advance_cum(cum);
-            assert_same(&a, &r, "sliding window");
+            assert_same(&a, &r, 0..next + 2, "sliding window");
         }
         // The arena stayed bounded by the live window, not total seqs.
         assert!(a.slots.len() < 128, "arena grew unbounded: {}", a.slots.len());

@@ -10,7 +10,7 @@
 use crate::config::Transport;
 use crate::metrics::FlowMetrics;
 use crate::packet::{Ack, FlowId, Packet};
-use crate::pktstore::{PktStore, SentPkt, SeqStore};
+use crate::pktstore::{PktStore, SentPkt};
 use cca::{AckEvent, BoxCca, LossEvent, LossKind};
 use simcore::filter::RttEstimator;
 use simcore::units::{bytes_as_f64, count_as_u64, Dur, Rate, Time};
@@ -52,11 +52,7 @@ pub struct Accounting {
 }
 
 /// Sending endpoint of one flow.
-///
-/// Generic over the per-sequence packet store: [`PktStore`] (the flat
-/// arena, the default) or [`RefStore`](crate::pktstore::RefStore) (the
-/// original B-tree containers, kept as the equivalence oracle).
-pub struct Sender<S: SeqStore = PktStore> {
+pub struct Sender {
     flow: FlowId,
     cca: BoxCca,
     mss: u64,
@@ -75,7 +71,7 @@ pub struct Sender<S: SeqStore = PktStore> {
     cum_acked: Option<u64>,
     /// Per-sequence packet state: outstanding / sacked / limbo /
     /// retx-done, with exact per-packet byte accounting.
-    store: S,
+    store: PktStore,
     /// Sequences queued for retransmission (sent before new data).
     retx_queue: VecDeque<u64>,
     /// Reusable scratch for hole collection (`detect_sack_losses`,
@@ -104,7 +100,7 @@ pub struct Sender<S: SeqStore = PktStore> {
     last_sample: Time,
 }
 
-impl<S: SeqStore> Sender<S> {
+impl Sender {
     /// A sender for `flow` driving `cca`, starting at `start`.
     pub fn new(
         flow: FlowId,
@@ -125,7 +121,7 @@ impl<S: SeqStore> Sender<S> {
             completion_pending: false,
             next_seq: 0,
             cum_acked: None,
-            store: S::default(),
+            store: PktStore::default(),
             retx_queue: VecDeque::new(),
             hole_buf: Vec::new(),
             rto_buf: Vec::new(),
@@ -164,11 +160,6 @@ impl<S: SeqStore> Sender<S> {
     /// Immutable access to the CCA (for state snapshots / inspection).
     pub fn cca(&self) -> &dyn cca::CongestionControl {
         self.cca.as_ref()
-    }
-
-    /// Replace the CCA (warm starts install a converged snapshot).
-    pub fn set_cca(&mut self, cca: BoxCca) {
-        self.cca = cca;
     }
 
     /// Clone the CCA's current state.
@@ -493,8 +484,7 @@ impl<S: SeqStore> Sender<S> {
         // Everything at or below `seq` is now resolved (delivered or
         // lost), and datagram flows never retransmit — advance the
         // store's floor so its scans and compaction stay bounded by the
-        // live window. (For the reference store this is a no-op: its
-        // containers are already empty below `seq`.)
+        // live window.
         self.store.advance_cum(seq);
 
         let rtt = now.since(pkt.sent_at);
@@ -889,7 +879,7 @@ mod tests {
     #[test]
     fn pacing_gates_transmissions() {
         // A CCA with pacing: use Vivace which paces.
-        let mut s: Sender = Sender::new(
+        let mut s = Sender::new(
             fid(0),
             Box::new(cca::Vivace::default_params()),
             1500,
@@ -911,7 +901,7 @@ mod tests {
 
     #[test]
     fn app_limit_caps_rate() {
-        let mut s: Sender = Sender::new(
+        let mut s = Sender::new(
             fid(0),
             Box::new(ConstCwnd::new(100 * 1500)),
             1500,
@@ -1023,7 +1013,7 @@ mod tests {
 
     #[test]
     fn start_time_respected() {
-        let mut s: Sender = Sender::new(
+        let mut s = Sender::new(
             fid(0),
             Box::new(ConstCwnd::ten_packets()),
             1500,

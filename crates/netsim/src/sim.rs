@@ -25,13 +25,12 @@ use crate::link::{Bottleneck, Enqueue};
 use crate::metrics::{EvCounts, FlowRecord, SimResult};
 use crate::packet::{Ack, FlowId, Packet};
 use crate::receiver::Receiver;
-use crate::pktstore::{PktStore, SeqStore};
 use crate::sender::{Emit, Sender};
 use crate::workload::WorkloadRun;
-use simcore::engine::EventQueue;
 use simcore::rng::Xoshiro256;
 use simcore::trace::{Auditor, Event, FlowAuditSpec, TraceSink};
 use simcore::units::{count_as_u64, Dur, Time};
+use simcore::wheel::TimerWheel;
 
 /// Simulator events.
 #[derive(Debug)]
@@ -54,8 +53,8 @@ enum Ev {
 
 /// One flow's whole path: endpoints, the per-flow path elements either side
 /// of the shared bottleneck, and the loop's timer bookkeeping for it.
-struct FlowSlot<S: SeqStore> {
-    sender: Sender<S>,
+struct FlowSlot {
+    sender: Sender,
     receiver: Receiver,
     jitter: JitterElement,
     rm: Dur,
@@ -72,15 +71,11 @@ struct FlowSlot<S: SeqStore> {
 }
 
 /// A runnable network scenario.
-/// Generic over the sender's per-sequence packet store: [`PktStore`]
-/// (the flat arena, the default every call site gets) or
-/// [`RefStore`](crate::pktstore::RefStore) via [`Network::with_store`]
-/// (the original B-tree containers, kept as the equivalence oracle).
-pub struct Network<S: SeqStore = PktStore> {
-    q: EventQueue<Ev>,
+pub struct Network {
+    q: TimerWheel<Ev>,
     link: Bottleneck,
     /// Indexed by `FlowId::index()`, in arrival order.
-    flows: Vec<FlowSlot<S>>,
+    flows: Vec<FlowSlot>,
     /// Trace sink (possibly an [`Auditor`] wrapping the configured sink).
     /// `None` — the default — costs one branch per instrumentation point.
     trace: Option<Box<dyn TraceSink>>,
@@ -101,23 +96,13 @@ fn emit(trace: &mut Option<Box<dyn TraceSink>>, at: Time, build: impl FnOnce() -
 }
 
 /// The sender's window and pacing rate as they stand, for the trace.
-fn cwnd_update<S: SeqStore>(flow: FlowId, s: &Sender<S>) -> Event {
+fn cwnd_update(flow: FlowId, s: &Sender) -> Event {
     Event::CwndUpdate { flow, cwnd: s.cwnd(), pacing: s.cca().pacing_rate() }
 }
 
 impl Network {
-    /// Build a network from a scenario description (arena-backed senders).
+    /// Build a network from a scenario description.
     pub fn new(cfg: SimConfig) -> Network {
-        Network::with_store(cfg)
-    }
-}
-
-impl<S: SeqStore> Network<S> {
-    /// Build a network whose senders use packet store `S`. The default
-    /// alias [`Network::new`] resolves `S = PktStore`; the metamorphic
-    /// equivalence suite instantiates `Network::<RefStore>` to replay the
-    /// same scenarios through the original B-tree bookkeeping.
-    pub fn with_store(cfg: SimConfig) -> Network<S> {
         // Build the trace sink first: the audit specs need per-flow MSS and
         // jitter bounds before `cfg.flows` is consumed below. Only the
         // statically-configured flows are registered here; workload flows
@@ -142,7 +127,7 @@ impl<S: SeqStore> Network<S> {
         link.set_ecn_threshold(cfg.link.ecn_threshold);
         let end = Time::ZERO + cfg.duration;
         let mut net = Network {
-            q: EventQueue::new(),
+            q: TimerWheel::new(),
             link,
             flows: Vec::new(),
             trace,
@@ -197,16 +182,6 @@ impl<S: SeqStore> Network<S> {
         });
         self.q.schedule_at(f.start, Ev::Wake(fid));
         fid
-    }
-
-    /// Direct access to a sender (warm starts, inspection).
-    pub fn sender_mut(&mut self, flow: FlowId) -> &mut Sender<S> {
-        &mut self.flows[flow.index()].sender
-    }
-
-    /// Direct access to the bottleneck (warm starts, inspection).
-    pub fn link_mut(&mut self) -> &mut Bottleneck {
-        &mut self.link
     }
 
     /// Flow id used for warm-start filler packets that belong to no sender.

@@ -9,8 +9,8 @@
 //! * [`units`] — strongly-typed simulated time ([`Time`], [`Dur`]) and
 //!   rates ([`Rate`]). Time is integer nanoseconds, so event ordering is
 //!   exact and runs are bit-reproducible.
-//! * [`engine`] — the event queue API with deterministic tie-breaking,
-//!   backed by [`wheel`].
+//! * [`engine`] — the event queue's deterministic ordering rule; the queue
+//!   itself is [`wheel::TimerWheel`].
 //! * [`flow`] — the [`FlowId`] newtype keying all per-flow state (trace
 //!   events, audit specs, per-flow results) with dense deterministic ids.
 //! * [`wheel`] — a hierarchical timer wheel: `O(1)` near-horizon
@@ -60,7 +60,6 @@ pub mod trace;
 pub mod units;
 pub mod wheel;
 
-pub use engine::EventQueue;
 pub use flow::FlowId;
 pub use inlinevec::InlineVec;
 pub use rng::Xoshiro256;

@@ -1,5 +1,4 @@
-//! Hierarchical timer wheel: the simulator's future-event list
-//! ([`crate::engine::EventQueue`] is this type under its simulator name).
+//! Hierarchical timer wheel: the simulator's future-event list.
 //!
 //! A discrete-event simulator spends a large share of its cycles pushing and
 //! popping the future-event list. A binary heap does both in `O(log n)` with
@@ -478,10 +477,20 @@ mod tests {
         assert_eq!(w.now(), Time::ZERO);
         w.pop();
         assert_eq!(w.now(), Time::from_millis(10));
-        let at = w.now().saturating_add(Dur::from_millis(5));
-        w.schedule_at(at, 1);
+        w.schedule_after(Dur::from_millis(5), 1);
         let (t, _) = w.pop().expect("event");
         assert_eq!(t, Time::from_millis(15));
+    }
+
+    #[test]
+    fn peek_and_len() {
+        let mut w = TimerWheel::new();
+        assert!(w.is_empty());
+        assert_eq!(w.peek_time(), None);
+        w.schedule_at(Time::from_millis(3), ());
+        w.schedule_at(Time::from_millis(1), ());
+        assert_eq!(w.len(), 2);
+        assert_eq!(w.peek_time(), Some(Time::from_millis(1)));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Metamorphic equivalence: the timer-wheel-backed [`EventQueue`] must
+//! Metamorphic equivalence: the [`TimerWheel`] event queue must
 //! behave observably identically to the binary heap it replaced.
 //!
 //! The reference model is a literal min-heap over `(time, insertion seq)`
-//! — the exact structure `EventQueue` used before the wheel swap. Random
+//! — the exact structure the event queue used before the wheel swap. Random
 //! schedule/pop interleavings (with deliberate tie storms and far-future
 //! outliers that land in the wheel's overflow heap) must produce the same
 //! pop sequence, the same `peek_time` at every step, and the same
@@ -12,7 +12,7 @@
 
 use simcore::rng::Xoshiro256;
 use simcore::units::Time;
-use simcore::EventQueue;
+use simcore::wheel::TimerWheel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use testkit::prop::{check, u64_in};
@@ -63,7 +63,7 @@ impl ReferenceQueue {
 /// conditional pops — checked step by step against the reference.
 fn wheel_matches_reference(&seed: &u64) -> Result<(), String> {
     let mut rng = Xoshiro256::new(seed);
-    let mut wheel: EventQueue<u32> = EventQueue::new();
+    let mut wheel: TimerWheel<u32> = TimerWheel::new();
     let mut reference = ReferenceQueue::new();
     let mut next_id = 0u32;
     for _ in 0..400 {
@@ -125,7 +125,7 @@ fn prop_wheel_matches_reference_heap() {
 /// with same-instant reschedules — the FIFO tie contract under stress.
 #[test]
 fn tie_storm_preserves_insertion_order() {
-    let mut wheel: EventQueue<u32> = EventQueue::new();
+    let mut wheel: TimerWheel<u32> = TimerWheel::new();
     let mut reference = ReferenceQueue::new();
     let t = Time(5_000_000);
     for id in 0..3_000 {
