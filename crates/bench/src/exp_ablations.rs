@@ -20,14 +20,13 @@
 
 use crate::table::{fnum, TextTable};
 use cca::delay_aimd::DelayAimdConfig;
-use cca::jitter_aware::JitterAwareConfig;
 use cca::BoxCca;
 #[cfg(test)]
 use netsim::Network;
-use netsim::{FlowConfig, Jitter, LinkConfig, SimConfig};
+use netsim::SimConfig;
 use simcore::par;
-use simcore::rng::Xoshiro256;
 use simcore::units::{Dur, Rate};
+use starvation::paper;
 use starvation::sweep::{RowSummary, Sweep, SweepJob};
 use std::fmt;
 
@@ -134,20 +133,11 @@ impl Case {
 }
 
 fn copa_poison_spec(poison_ms: f64, secs: u64) -> Case {
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let rm_poisoned = Dur::from_millis(60) - Dur::from_millis_f64(poison_ms);
-    let poisoned = FlowConfig::bulk(Box::new(cca::Copa::default_params()), rm_poisoned)
-        .with_jitter(Jitter::ExtraExcept {
-            extra: Dur::from_millis_f64(poison_ms),
-            period: 5_000,
-            offset: 0,
-        });
-    let clean = FlowConfig::bulk(Box::new(cca::Copa::default_params()), Dur::from_millis(60));
     Case {
         group: "copa-poison",
         setting: format!("{poison_ms} ms"),
         window: Window::Full,
-        config: SimConfig::new(link, vec![poisoned, clean], Dur::from_secs(secs)),
+        config: paper::copa_poison(Dur::from_millis_f64(poison_ms), Dur::from_secs(secs)),
     }
 }
 
@@ -157,23 +147,15 @@ fn copa_poison_case(poison_ms: f64, secs: u64) -> AblationRow {
 }
 
 fn algo1_margin_spec(actual_jitter_ms: u64, secs: u64) -> Case {
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(40.0));
-    let rm = Dur::from_millis(50);
-    let mk = || -> BoxCca {
-        let mut cfg = JitterAwareConfig::example(rm); // designed for D = 10 ms
-        cfg.a = Rate::from_mbps(0.4);
-        Box::new(cca::JitterAware::new(cfg))
-    };
-    let jittered = FlowConfig::bulk(mk(), rm).with_jitter(Jitter::Random {
-        max: Dur::from_millis(actual_jitter_ms),
-        rng: Xoshiro256::new(11),
-    });
-    let clean = FlowConfig::bulk(mk(), rm);
     Case {
         group: "algo1-margin",
         setting: format!("actual jitter {actual_jitter_ms} ms (designed 10 ms)"),
         window: Window::SecondHalf,
-        config: SimConfig::new(link, vec![jittered, clean], Dur::from_secs(secs)),
+        config: paper::jitter_vs_clean(
+            paper::algorithm1,
+            Dur::from_millis(actual_jitter_ms),
+            Dur::from_secs(secs),
+        ),
     }
 }
 
@@ -183,27 +165,20 @@ fn algo1_margin_case(actual_jitter_ms: u64, secs: u64) -> AblationRow {
 }
 
 fn delay_aimd_spec(q_hi_ms: u64, secs: u64) -> Case {
-    let rm = Dur::from_millis(50);
     let mk = || -> BoxCca {
         Box::new(cca::DelayAimd::new(DelayAimdConfig {
-            rm,
+            rm: Dur::from_millis(50),
             q_hi: Dur::from_millis(q_hi_ms),
             q_lo: Dur::from_millis(q_hi_ms / 4),
             a: Rate::from_mbps(0.5),
             b: 0.7,
         }))
     };
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(40.0));
-    let jittered = FlowConfig::bulk(mk(), rm).with_jitter(Jitter::Random {
-        max: Dur::from_millis(10),
-        rng: Xoshiro256::new(11),
-    });
-    let clean = FlowConfig::bulk(mk(), rm);
     Case {
         group: "delay-aimd-threshold",
         setting: format!("q_hi = {q_hi_ms} ms (jitter 10 ms)"),
         window: Window::SecondHalf,
-        config: SimConfig::new(link, vec![jittered, clean], Dur::from_secs(secs)),
+        config: paper::jitter_vs_clean(mk, Dur::from_millis(10), Dur::from_secs(secs)),
     }
 }
 

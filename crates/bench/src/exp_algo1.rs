@@ -7,14 +7,15 @@
 //! CCAs. Algorithm 1 is configured with `D` = 10 ms, `s` = 2, so its delay
 //! oscillations are designed to dominate the jitter; the theory predicts it
 //! stays `s`-fair. Vegas under the same jitter starves. A single-flow run
-//! checks Algorithm 1's efficiency.
+//! checks Algorithm 1's efficiency. The runs are
+//! [`starvation::paper::jitter_vs_clean`] and
+//! [`starvation::paper::jittered_alone`].
 
 use crate::table::{fnum, TextTable};
-use cca::jitter_aware::JitterAwareConfig;
 use cca::BoxCca;
-use netsim::{FlowConfig, Jitter, LinkConfig, Network, SimConfig};
-use simcore::rng::Xoshiro256;
-use simcore::units::{Dur, Rate};
+use netsim::{Network, SimConfig};
+use simcore::units::{Dur, Time};
+use starvation::paper;
 use std::fmt;
 
 /// Outcome of the Algorithm 1 evaluation.
@@ -31,56 +32,29 @@ pub struct Algo1Report {
     pub s: f64,
 }
 
-fn scenario(mk: impl Fn(u64) -> BoxCca, secs: u64) -> (f64, f64) {
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(40.0));
-    let rm = Dur::from_millis(50);
-    let jittered = FlowConfig::bulk(mk(1), rm).with_jitter(Jitter::Random {
-        max: Dur::from_millis(10),
-        rng: Xoshiro256::new(11),
-    });
-    let clean = FlowConfig::bulk(mk(2), rm);
-    let r = Network::new(SimConfig::new(
-        link,
-        vec![jittered, clean],
-        Dur::from_secs(secs),
-    ))
-    .run();
-    let half = simcore::units::Time(r.end.as_nanos() / 2);
-    (
-        r.flows[0].throughput_over(half, r.end).mbps(),
-        r.flows[1].throughput_over(half, r.end).mbps(),
-    )
+/// Second-half throughputs of a finished run's flows, Mbit/s.
+fn tail_mbps(config: SimConfig) -> Vec<f64> {
+    let r = Network::new(config).run();
+    let half = Time(r.end.as_nanos() / 2);
+    r.flows
+        .iter()
+        .map(|f| f.throughput_over(half, r.end).mbps())
+        .collect()
 }
 
-fn jitter_aware(_seed: u64) -> BoxCca {
-    let mut cfg = JitterAwareConfig::example(Dur::from_millis(50));
-    cfg.mu_minus = Rate::from_mbps(0.1);
-    cfg.a = Rate::from_mbps(0.4);
-    Box::new(cca::JitterAware::new(cfg))
+/// Both flows of the jittered-vs-clean scenario for `mk`'s CCA.
+fn pair(mk: fn() -> BoxCca, dur: Dur) -> (f64, f64) {
+    let t = tail_mbps(paper::jitter_vs_clean(mk, Dur::from_millis(10), dur));
+    (t[0], t[1])
 }
 
 /// Run all three scenarios.
 pub fn run(quick: bool) -> Algo1Report {
-    let secs = if quick { 40 } else { 120 };
-    let algo1 = scenario(jitter_aware, secs);
-    let vegas = scenario(|_| Box::new(cca::Vegas::default_params()), secs);
-
-    // Single-flow efficiency under jitter.
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(40.0));
-    let flow = FlowConfig::bulk(jitter_aware(1), Dur::from_millis(50)).with_jitter(
-        Jitter::Random {
-            max: Dur::from_millis(10),
-            rng: Xoshiro256::new(13),
-        },
-    );
-    let r = Network::new(SimConfig::new(link, vec![flow], Dur::from_secs(secs))).run();
-    let half = simcore::units::Time(r.end.as_nanos() / 2);
-    let single_mbps = r.flows[0].throughput_over(half, r.end).mbps();
-
+    let dur = Dur::from_secs(if quick { 40 } else { 120 });
     Algo1Report {
-        algo1,
-        vegas,
-        single_mbps,
+        algo1: pair(paper::algorithm1, dur),
+        vegas: pair(|| Box::new(cca::Vegas::default_params()), dur),
+        single_mbps: tail_mbps(paper::jittered_alone(dur).sim(paper::algorithm1()))[0],
         link_mbps: 40.0,
         s: 2.0,
     }
@@ -157,19 +131,14 @@ mod tests {
             r.vegas,
             r.vegas_ratio()
         );
-    }
-
-    #[test]
-    fn algorithm1_roughly_s_fair() {
-        let r = run(true);
         // Designed for s = 2; allow AIMD sawtooth slack in the measurement.
         assert!(r.algo1_ratio() < 2.0 * 1.8, "ratio={}", r.algo1_ratio());
-    }
-
-    #[test]
-    fn algorithm1_single_flow_efficient() {
-        let r = run(true);
-        // µ+ = 51 Mbit/s covers the 40 Mbit/s link; expect good utilization.
-        assert!(r.single_mbps > 0.5 * r.link_mbps, "single={}", r.single_mbps);
+        // µ+ = 51 Mbit/s covers the 40 Mbit/s link; expect good utilization
+        // from a single flow under the same jitter.
+        assert!(
+            r.single_mbps > 0.5 * r.link_mbps,
+            "single={}",
+            r.single_mbps
+        );
     }
 }

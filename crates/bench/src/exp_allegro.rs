@@ -5,11 +5,14 @@
 //! flows that *both* see 2 % share fairly. But when only one flow sees the
 //! extra 2 %, that flow reaches the 5 % collapse threshold at a much lower
 //! level of congestion loss than its competitor, and starves (paper:
-//! 10.3 vs 99.1 Mbit/s).
+//! 10.3 vs 99.1 Mbit/s). The three runs are built by
+//! [`starvation::paper`]; the asymmetric one is seed 0 of the family
+//! `repro seeds` sweeps.
 
 use crate::table::{fnum, TextTable};
-use netsim::{FlowConfig, LinkConfig, Network, SimConfig};
-use simcore::units::{Dur, Rate};
+use netsim::Network;
+use simcore::units::Dur;
+use starvation::paper;
 use std::fmt;
 
 /// Outcome of the three §5.4 scenarios.
@@ -24,40 +27,12 @@ pub struct AllegroReport {
     pub single_mbps: f64,
 }
 
-fn link() -> LinkConfig {
-    LinkConfig::bdp_buffer(Rate::from_mbps(120.0), Dur::from_millis(40), 1.0)
-}
-
-fn flow(loss: f64, seed: u64) -> FlowConfig {
-    let f = FlowConfig::bulk(Box::new(cca::Allegro::new(seed)), Dur::from_millis(40)).with_transport(netsim::Transport::Datagram);
-    if loss > 0.0 {
-        // Loss stream 7 is the representative stream reported in
-        // EXPERIMENTS.md; `repro seeds` publishes the distribution across
-        // streams (Allegro's RCT noise makes the outcome stochastic).
-        f.with_loss(loss, 7)
-    } else {
-        f
-    }
-}
-
 /// Run all three scenarios.
 pub fn run(quick: bool) -> AllegroReport {
-    let secs = if quick { 45 } else { 60 };
-    let dur = Dur::from_secs(secs);
-
-    let asym = Network::new(SimConfig::new(
-        link(),
-        vec![flow(0.02, 1), flow(0.0, 2)],
-        dur,
-    ))
-    .run();
-    let sym = Network::new(SimConfig::new(
-        link(),
-        vec![flow(0.02, 3), flow(0.02, 4)],
-        dur,
-    ))
-    .run();
-    let single = Network::new(SimConfig::new(link(), vec![flow(0.02, 5)], dur)).run();
+    let dur = Dur::from_secs(if quick { 45 } else { 60 });
+    let asym = Network::new(paper::allegro_asymmetric_loss(0, dur)).run();
+    let sym = Network::new(paper::allegro_symmetric_loss(dur)).run();
+    let single = Network::new(paper::allegro_lossy_alone(dur)).run();
 
     AllegroReport {
         lossy_mbps: asym.flows[0].throughput_at(asym.end).mbps(),
@@ -137,19 +112,11 @@ mod tests {
             r.lossy_mbps,
             r.clean_mbps
         );
-    }
-
-    #[test]
-    fn symmetric_loss_shares_fairly() {
-        let r = run(true);
+        // The asymmetry is the cause: with loss on both paths the flows
+        // share fairly, and a lone lossy flow still fills the link.
         let (a, b) = r.sym;
         let ratio = a.max(b) / a.min(b).max(0.001);
         assert!(ratio < 3.0, "sym={a} vs {b}");
-    }
-
-    #[test]
-    fn single_lossy_flow_fills_link() {
-        let r = run(true);
         assert!(r.single_mbps > 60.0, "single={}", r.single_mbps);
     }
 }

@@ -6,12 +6,13 @@
 //! bandwidth, pushing both flows into the cwnd-limited mode where
 //! `cwnd = 2·BtlBw·RTprop + α`. The §5.2 fixed-point analysis then gives
 //! `cwnd_i ≈ 2·C·Rm_i/n + α`: the small-`Rm` flow gets a proportionally
-//! small window and starves. Paper numbers: 8.3 vs 107 Mbit/s.
+//! small window and starves. Paper numbers: 8.3 vs 107 Mbit/s. The run is
+//! [`starvation::paper::bbr_rtt_asymmetry`] at seed 0.
 
 use crate::table::{fnum, TextTable};
-use netsim::{FlowConfig, Jitter, LinkConfig, Network, SimConfig};
-use simcore::rng::Xoshiro256;
-use simcore::units::{Dur, Rate};
+use netsim::Network;
+use simcore::units::{Dur, Time};
+use starvation::paper;
 use std::fmt;
 
 /// Outcome of the BBR experiment.
@@ -27,27 +28,13 @@ pub struct BbrReport {
 
 /// Run the experiment.
 pub fn run(quick: bool) -> BbrReport {
-    let secs = if quick { 40 } else { 60 };
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let mk = |rm_ms: u64, seed: u64| {
-        FlowConfig::bulk(Box::new(cca::Bbr::new(1500, seed)), Dur::from_millis(rm_ms))
-            .with_jitter(Jitter::Random {
-                max: Dur::from_millis(2),
-                rng: Xoshiro256::new(seed * 7 + 1),
-            })
-    };
-    let r = Network::new(SimConfig::new(
-        link,
-        vec![mk(40, 1), mk(80, 2)],
-        Dur::from_secs(secs),
-    ))
-    .run();
-    let end = r.end;
-    let a = simcore::units::Time(end.as_nanos() / 2);
+    let dur = Dur::from_secs(if quick { 40 } else { 60 });
+    let r = Network::new(paper::bbr_rtt_asymmetry(0, dur)).run();
+    let a = Time(r.end.as_nanos() / 2);
     BbrReport {
-        small_rtt_mbps: r.flows[0].throughput_at(end).mbps(),
-        large_rtt_mbps: r.flows[1].throughput_at(end).mbps(),
-        small_rtt_mean_ms: r.flows[0].mean_rtt_in(a, end).unwrap_or(0.0) * 1e3,
+        small_rtt_mbps: r.flows[0].throughput_at(r.end).mbps(),
+        large_rtt_mbps: r.flows[1].throughput_at(r.end).mbps(),
+        small_rtt_mean_ms: r.flows[0].mean_rtt_in(a, r.end).unwrap_or(0.0) * 1e3,
     }
 }
 
@@ -105,5 +92,13 @@ mod tests {
         );
         // Link stays efficiently used.
         assert!(r.small_rtt_mbps + r.large_rtt_mbps > 80.0);
+        // cwnd-limited mode: the small-RTT flow's observed RTT far exceeds
+        // its 40 ms propagation delay (≈ 2·Rm of the large flow's
+        // equilibrium), and it keeps acking through the measured window.
+        assert!(
+            r.small_rtt_mean_ms > 80.0,
+            "mean rtt={} ms",
+            r.small_rtt_mean_ms
+        );
     }
 }

@@ -23,10 +23,10 @@ use cca::delay_aimd::DelayAimdConfig;
 use cca::BoxCca;
 #[cfg(test)]
 use netsim::Network;
-use netsim::{FlowConfig, Jitter, LinkConfig, SimConfig};
+use netsim::SimConfig;
 use simcore::par;
-use simcore::rng::Xoshiro256;
 use simcore::units::{Dur, Rate};
+use starvation::paper;
 use starvation::sweep::{RowSummary, Sweep, SweepJob};
 use std::fmt;
 
@@ -52,26 +52,25 @@ pub struct BoundaryReport {
 }
 
 /// The scenario behind one cell: two delay-AIMD flows with oscillation
-/// width `Δ = osc_ms`, random jitter `D = jitter_ms` on the first path.
+/// width `Δ = osc_ms` on §6.3's jittered-vs-clean path, with random jitter
+/// `D = jitter_ms` on the first path from a stream of the cell's own.
 fn cell_config(osc_ms: u64, jitter_ms: u64, secs: u64) -> SimConfig {
-    let rm = Dur::from_millis(50);
     let mk = || -> BoxCca {
         // Sawtooth sweeps [Δ/5, Δ/5 + Δ] of queueing delay: width Δ.
         Box::new(cca::DelayAimd::new(DelayAimdConfig {
-            rm,
+            rm: Dur::from_millis(50),
             q_hi: Dur::from_millis(osc_ms / 5 + osc_ms),
             q_lo: Dur::from_millis(osc_ms / 5),
             a: Rate::from_mbps(0.5),
             b: 0.7,
         }))
     };
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(40.0));
-    let jittered = FlowConfig::bulk(mk(), rm).with_jitter(Jitter::Random {
-        max: Dur::from_millis(jitter_ms),
-        rng: Xoshiro256::new(7 + osc_ms * 31 + jitter_ms),
-    });
-    let clean = FlowConfig::bulk(mk(), rm);
-    SimConfig::new(link, vec![jittered, clean], Dur::from_secs(secs))
+    paper::jitter_vs_clean_on_stream(
+        mk,
+        Dur::from_millis(jitter_ms),
+        7 + osc_ms * 31 + jitter_ms,
+        Dur::from_secs(secs),
+    )
 }
 
 /// Second-half throughput ratio of a finished cell run.

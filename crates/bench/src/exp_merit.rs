@@ -7,7 +7,6 @@
 //! for the Vegas family; `s` = 4 gives ≈ 10⁶.
 
 use crate::table::{fnum, TextTable};
-use simcore::par;
 use simcore::units::Dur;
 use starvation::merit::{merit_table, MeritRow};
 use std::fmt;
@@ -18,39 +17,28 @@ pub struct MeritReport {
     pub rows: Vec<MeritRow>,
 }
 
-/// Build the table for the paper's parameter choices.
-pub fn run(quick: bool) -> MeritReport {
-    run_with(quick, par::available_jobs())
-}
-
-/// Build the table, one `(D, s)` case per job across `jobs` workers. The
-/// evaluation is closed-form arithmetic, so this is a demonstration of the
-/// pool on non-simulation work more than an optimization; row order matches
-/// the serial table either way.
-pub fn run_with(_quick: bool, jobs: usize) -> MeritReport {
+/// Build the table for the paper's parameter choices. The evaluation is
+/// closed-form arithmetic, so `quick` changes nothing.
+pub fn run(_quick: bool) -> MeritReport {
     let rmax = Dur::from_millis(100);
     let rm = Dur::from_millis(0); // the paper's example measures Rmax from Rm
-    let cases = vec![
+    let cases = [
         (Dur::from_millis(10), 2.0),
         (Dur::from_millis(10), 4.0),
         (Dur::from_millis(5), 2.0),
         (Dur::from_millis(20), 2.0),
         (Dur::from_millis(10), 1.5),
     ];
-    let rows = par::map(
-        cases,
-        jobs,
-        |_i, case| {
-            merit_table(rmax, rm, &[case])
-                .pop()
-                .expect("one case in, one row out")
-        },
-        None,
-    )
-    .into_iter()
-    .map(|report| report.outcome.expect("merit row"))
-    .collect();
-    MeritReport { rows }
+    MeritReport {
+        rows: merit_table(rmax, rm, &cases),
+    }
+}
+
+/// Crossing stub: `benchmark/src/workloads/figures.rs` calls this; the
+/// next `benchmark` change calls [`run`] and the product change after it
+/// deletes this. `jobs` is ignored.
+pub fn run_with(quick: bool, _jobs: usize) -> MeritReport {
+    run(quick)
 }
 
 impl MeritReport {

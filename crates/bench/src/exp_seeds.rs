@@ -1,7 +1,9 @@
 //! Seed-robustness sweep: the §5 starvation results should not hinge on
 //! one lucky random stream. Each scenario runs across several seeds for
 //! every randomized component (CCA probe phasing, jitter, loss); we report
-//! the min / median / max starvation ratio.
+//! the min / median / max starvation ratio. Each scenario is a seeded
+//! family of [`starvation::paper`]; seed 0 is the run `repro bbr`,
+//! `repro vivace` and `repro allegro` publish.
 //!
 //! (The §5.1 Copa scenario has no randomness at all — it is bit-identical
 //! across runs — so it needs no sweep.)
@@ -12,11 +14,11 @@
 //! byte-identical at any worker count.
 
 use crate::table::{fnum, TextTable};
-use netsim::{AckPolicy, FlowConfig, Jitter, LinkConfig, SimConfig};
+use netsim::SimConfig;
 use simcore::par;
-use simcore::rng::Xoshiro256;
 use simcore::stats::Summary;
-use simcore::units::{Dur, Rate};
+use simcore::units::Dur;
+use starvation::paper;
 use starvation::sweep::{RowSummary, Sweep, SweepJob};
 use std::fmt;
 
@@ -42,64 +44,25 @@ pub struct SeedsReport {
     pub rows: Vec<SeedRow>,
 }
 
-fn bbr_config(seed: u64, secs: u64) -> SimConfig {
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let mk = |rm_ms: u64, s: u64| {
-        FlowConfig::bulk(Box::new(cca::Bbr::new(1500, s)), Dur::from_millis(rm_ms)).with_jitter(
-            Jitter::Random {
-                max: Dur::from_millis(2),
-                rng: Xoshiro256::new(s * 7 + 1),
-            },
-        )
-    };
-    SimConfig::new(
-        link,
-        vec![mk(40, seed * 2 + 1), mk(80, seed * 2 + 2)],
-        Dur::from_secs(secs),
-    )
-}
-
-fn vivace_config(seed: u64, secs: u64) -> SimConfig {
-    let rm = Dur::from_millis(60);
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let quantized = FlowConfig::bulk(Box::new(cca::Vivace::new(seed * 2 + 1)), rm)
-        .with_transport(netsim::Transport::Datagram)
-        .with_ack_policy(AckPolicy::Quantized {
-            period: Dur::from_millis(60),
-        });
-    let clean = FlowConfig::bulk(Box::new(cca::Vivace::new(seed * 2 + 2)), rm).with_transport(netsim::Transport::Datagram);
-    SimConfig::new(link, vec![quantized, clean], Dur::from_secs(secs))
-}
-
-fn allegro_config(seed: u64, secs: u64) -> SimConfig {
-    let link = LinkConfig::bdp_buffer(Rate::from_mbps(120.0), Dur::from_millis(40), 1.0);
-    let lossy = FlowConfig::bulk(
-        Box::new(cca::Allegro::new(seed * 2 + 1)),
-        Dur::from_millis(40),
-    )
-    .with_transport(netsim::Transport::Datagram)
-    .with_loss(0.02, seed * 13 + 7);
-    let clean = FlowConfig::bulk(
-        Box::new(cca::Allegro::new(seed * 2 + 2)),
-        Dur::from_millis(40),
-    )
-    .with_transport(netsim::Transport::Datagram);
-    SimConfig::new(link, vec![lossy, clean], Dur::from_secs(secs))
-}
-
 /// Starved-over-other whole-run throughput ratio.
 fn end_ratio(r: &RowSummary) -> f64 {
     r.flows[1].throughput_mbps / r.flows[0].throughput_mbps
 }
 
-/// A scenario constructor: `(seed, secs) → SimConfig`.
-type MkScenario = fn(u64, u64) -> SimConfig;
+/// A scenario constructor: `(seed, duration) → SimConfig`.
+type MkScenario = fn(u64, Dur) -> SimConfig;
 
 /// The sweep's scenarios, in publication order.
 const SCENARIOS: [(&str, MkScenario); 3] = [
-    ("BBR Rm 40/80 ms (§5.2)", bbr_config),
-    ("Vivace ACK quantization (§5.3)", vivace_config),
-    ("Allegro asymmetric loss (§5.4)", allegro_config),
+    ("BBR Rm 40/80 ms (§5.2)", paper::bbr_rtt_asymmetry),
+    (
+        "Vivace ACK quantization (§5.3)",
+        paper::vivace_ack_quantization,
+    ),
+    (
+        "Allegro asymmetric loss (§5.4)",
+        paper::allegro_asymmetric_loss,
+    ),
 ];
 
 /// Run each randomized scenario over `n` seeds, using every available core.
@@ -110,10 +73,11 @@ pub fn run(quick: bool) -> SeedsReport {
 /// Run the sweep across `jobs` workers.
 pub fn run_with(quick: bool, jobs: usize) -> SeedsReport {
     let (n, secs) = if quick { (3u64, 40) } else { (5u64, 60) };
+    let dur = Dur::from_secs(secs);
     let job_list: Vec<SweepJob> = SCENARIOS
         .iter()
         .flat_map(|(name, mk)| {
-            (0..n).map(move |s| SweepJob::new(format!("{name}/seed{s}"), mk(s, secs)))
+            (0..n).map(move |s| SweepJob::new(format!("{name}/seed{s}"), mk(s, dur)))
         })
         .collect();
     let report = Sweep::new("seeds").jobs(jobs).run(job_list);

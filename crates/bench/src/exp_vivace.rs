@@ -6,11 +6,13 @@
 //! its samples arrive in one burst), and its measured per-MI throughput is
 //! quantized, so its gradient experiments return noise while the clean
 //! flow's experiments return signal — the clean flow takes the link.
-//! Paper numbers: 9.9 vs 99.4 Mbit/s.
+//! Paper numbers: 9.9 vs 99.4 Mbit/s. The run is
+//! [`starvation::paper::vivace_ack_quantization`] at seed 0.
 
 use crate::table::{fnum, TextTable};
-use netsim::{AckPolicy, FlowConfig, LinkConfig, Network, SimConfig};
-use simcore::units::{Dur, Rate};
+use netsim::Network;
+use simcore::units::Dur;
+use starvation::paper;
 use std::fmt;
 
 /// Outcome of the Vivace experiment.
@@ -23,21 +25,8 @@ pub struct VivaceReport {
 
 /// Run the experiment.
 pub fn run(quick: bool) -> VivaceReport {
-    let secs = if quick { 20 } else { 60 };
-    let rm = Dur::from_millis(60);
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let quantized = FlowConfig::bulk(Box::new(cca::Vivace::new(1)), rm)
-        .with_transport(netsim::Transport::Datagram)
-        .with_ack_policy(AckPolicy::Quantized {
-            period: Dur::from_millis(60),
-        });
-    let clean = FlowConfig::bulk(Box::new(cca::Vivace::new(2)), rm).with_transport(netsim::Transport::Datagram);
-    let r = Network::new(SimConfig::new(
-        link,
-        vec![quantized, clean],
-        Dur::from_secs(secs),
-    ))
-    .run();
+    let dur = Dur::from_secs(if quick { 20 } else { 60 });
+    let r = Network::new(paper::vivace_ack_quantization(0, dur)).run();
     VivaceReport {
         quantized_mbps: r.flows[0].throughput_at(r.end).mbps(),
         clean_mbps: r.flows[1].throughput_at(r.end).mbps(),

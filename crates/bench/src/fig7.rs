@@ -5,12 +5,14 @@
 //!
 //! Paper result: bounded unfairness — throughput ratios of 2.7× (Reno) and
 //! 3.2× (Cubic) — but **no starvation**, because AIMD's oscillations span
-//! the whole buffer (§5.4, §6.2).
+//! the whole buffer (§5.4, §6.2). The scenario is
+//! [`starvation::paper::fig7_delayed_ack`].
 
 use crate::table::{fnum, TextTable};
 use cca::BoxCca;
-use netsim::{AckPolicy, FlowConfig, LinkConfig, Network, SimConfig};
-use simcore::units::{Dur, Rate, Time};
+use netsim::Network;
+use simcore::units::{Dur, Time};
+use starvation::paper;
 use std::fmt;
 
 /// One CCA's two-flow outcome.
@@ -41,20 +43,8 @@ pub struct Fig7Report {
 }
 
 fn one(cca: &'static str, mk: fn() -> BoxCca, quick: bool) -> Fig7Row {
-    let secs = if quick { 60 } else { 200 };
-    let rm = Dur::from_millis(120);
-    let link = LinkConfig::new(Rate::from_mbps(6.0), 60 * 1500);
-    let clean = FlowConfig::bulk(mk(), rm);
-    let delayed = FlowConfig::bulk(mk(), rm).with_ack_policy(AckPolicy::Delayed {
-        max_pkts: 4,
-        timeout: Dur::from_millis(100),
-    });
-    let r = Network::new(SimConfig::new(
-        link,
-        vec![clean, delayed],
-        Dur::from_secs(secs),
-    ))
-    .run();
+    let dur = Dur::from_secs(if quick { 60 } else { 200 });
+    let r = Network::new(paper::fig7_delayed_ack(mk, dur)).run();
     let series = |i: usize| -> Vec<(f64, f64)> {
         r.flows[i]
             .cwnd

@@ -162,8 +162,8 @@ fn run_allegro(quick: bool) {
     save(&r.table(), "allegro.csv");
 }
 
-fn run_merit(quick: bool, jobs: usize) {
-    let r = exp_merit::run_with(quick, jobs);
+fn run_merit(quick: bool) {
+    let r = exp_merit::run(quick);
     println!("{r}");
     save(&r.table(), "merit.csv");
 }
@@ -580,7 +580,7 @@ fn main() {
         "bbr" => run_bbr(quick),
         "vivace" => run_vivace(quick),
         "allegro" => run_allegro(quick),
-        "merit" => run_merit(quick, jobs),
+        "merit" => run_merit(quick),
         "algo1" => run_algo1(quick),
         "ccmc" => run_ccmc(quick),
         "ablations" => run_ablations(quick, jobs),
@@ -603,7 +603,7 @@ fn main() {
             run_bbr(quick);
             run_vivace(quick);
             run_allegro(quick);
-            run_merit(quick, jobs);
+            run_merit(quick);
             run_algo1(quick);
             run_ccmc(quick);
             run_ablations(quick, jobs);

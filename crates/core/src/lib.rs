@@ -27,12 +27,16 @@
 //!   (`d_{k+1} = max(0, d_k − D)`).
 //! * [`merit`] — §6.3's figure of merit `µ₊/µ₋` for the Vegas family
 //!   (Eq. 1) vs the exponential mapping (Eq. 2).
-//! * [`canon`] — canonical trace scenarios: four frozen configurations
+//! * [`paper`] — the paper's experiment scenarios (§5.1–§5.4, Figure 7,
+//!   §6.3), each built in one constructor that `repro`, the integration
+//!   tests and the examples share.
+//! * [`canon`] — canonical trace scenarios: five frozen configurations
 //!   backing the golden-trace regression suite and `repro trace`.
 //! * [`sweep`] — the parallel sweep engine: declarative scenario grids
 //!   ([`sweep::ScenarioSpec`]) expanded into `SimConfig`s and executed
 //!   order-preservingly across a worker pool ([`simcore::par`]), with
-//!   per-job panic isolation and JSON-lines timing records.
+//!   per-job panic isolation and an optional content-addressed result
+//!   store.
 //!
 //! # Example
 //!
@@ -56,6 +60,7 @@ pub mod emulation;
 pub mod fairness;
 pub mod glossary;
 pub mod merit;
+pub mod paper;
 pub mod pigeonhole;
 pub mod profiler;
 pub mod runner;

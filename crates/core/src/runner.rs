@@ -14,9 +14,10 @@ use simcore::units::{Dur, Rate, Time};
 /// Specification for an ideal-path run.
 ///
 /// This is [`netsim::PathSpec`] under its historical name: the same spec
-/// type `testkit::harness`'s fixtures expand, constructed here with the
-/// impairment fields (jitter, loss) left at zero — Definition 1's ideal
-/// path. One spec type, one expansion into `LinkConfig`/`FlowConfig`.
+/// type [`crate::paper`]'s §6.3 paths and `testkit::harness::run_one`
+/// expand, constructed here with the impairment fields (jitter, loss) left
+/// at zero — Definition 1's ideal path. One spec type, one expansion into
+/// `LinkConfig`/`FlowConfig`.
 pub type RunSpec = netsim::PathSpec;
 
 /// Results of an ideal-path run.

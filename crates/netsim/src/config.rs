@@ -281,9 +281,10 @@ impl SimConfig {
 /// A single-flow path specification: bottleneck rate, propagation RTT, run
 /// length, and the optional path impairments (random jitter, Bernoulli
 /// loss). This is the one spec type shared by `starvation::runner`'s
-/// ideal-path runs (where the impairments stay zero) and
-/// `testkit::harness`'s fixtures — both expand it into `LinkConfig` /
-/// `FlowConfig` through the same methods instead of re-deriving them.
+/// ideal-path runs (where the impairments stay zero), the §6.3 paths of
+/// `starvation::paper`, and `testkit::harness::run_one` — all expand it
+/// into `LinkConfig` / `FlowConfig` through the same methods instead of
+/// re-deriving them.
 #[derive(Clone, Copy, Debug)]
 pub struct PathSpec {
     /// Bottleneck rate `C`.

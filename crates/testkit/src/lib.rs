@@ -10,8 +10,9 @@
 //!   seeded from [`simcore::rng::Xoshiro256`], fixed case counts, greedy
 //!   shrinking toward a minimal counterexample, and failure output that is a
 //!   ready-to-paste regression test (replaces `proptest`).
-//! * [`harness`] — the scenario fixtures (`run_one`-style builders) that the
-//!   integration tests used to copy-paste from each other.
+//! * [`harness`] — `run_one` (a parameterized single-flow run) and `mbps`,
+//!   the helpers the emulator-invariant properties share. The paper's
+//!   scenarios live in `starvation::paper`.
 //!
 //! Determinism is the point: a property run with the same
 //! `TESTKIT_SEED`/`TESTKIT_CASES` is bit-identical, and the simulator's own

@@ -9,23 +9,17 @@
 //! under this asymmetry. Algorithm 1 — the paper's exponential rate–delay
 //! mapping `µ(d) = µ₋·s^((Rmax−d)/D)` with AIMD — was configured with
 //! `D = 10 ms, s = 2`, so rates a factor 2 apart always map to delays
-//! more than the jitter apart: the flows stay ≈`s`-fair.
+//! more than the jitter apart: the flows stay ≈`s`-fair. The scenario and
+//! the Algorithm 1 configuration come from `starvation::paper`.
 
-use cca::jitter_aware::JitterAwareConfig;
 use cca::BoxCca;
-use netsim::{FlowConfig, Jitter, LinkConfig, Network, SimConfig};
-use simcore::rng::Xoshiro256;
-use simcore::units::{Dur, Rate, Time};
+use netsim::Network;
+use simcore::units::{Dur, Time};
+use starvation::paper;
 
-fn two_flow_run(mk: impl Fn(u64) -> BoxCca, label: &str) {
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(40.0));
-    let rm = Dur::from_millis(50);
-    let jittered = FlowConfig::bulk(mk(1), rm).with_jitter(Jitter::Random {
-        max: Dur::from_millis(10),
-        rng: Xoshiro256::new(11),
-    });
-    let clean = FlowConfig::bulk(mk(2), rm);
-    let r = Network::new(SimConfig::new(link, vec![jittered, clean], Dur::from_secs(60))).run();
+fn two_flow_run(mk: impl Fn() -> BoxCca, label: &str) {
+    let config = paper::jitter_vs_clean(mk, Dur::from_millis(10), Dur::from_secs(60));
+    let r = Network::new(config).run();
     let half = Time(r.end.as_nanos() / 2);
     let a = r.flows[0].throughput_over(half, r.end).mbps();
     let b = r.flows[1].throughput_over(half, r.end).mbps();
@@ -41,15 +35,11 @@ fn main() {
          one path only.\n"
     );
     two_flow_run(
-        |_| Box::new(cca::Vegas::default_params()),
+        || Box::new(cca::Vegas::default_params()),
         "Vegas (delay-convergent, delta ~ 0)",
     );
     two_flow_run(
-        |_| {
-            let mut cfg = JitterAwareConfig::example(Dur::from_millis(50));
-            cfg.a = Rate::from_mbps(0.4);
-            Box::new(cca::JitterAware::new(cfg))
-        },
+        paper::algorithm1,
         "Algorithm 1 (designed for D = 10 ms, s = 2)",
     );
     println!(

@@ -13,10 +13,13 @@
 //! 3. **PCC Vivace** (§5.3): one flow's ACKs arrive only at 60 ms
 //!    boundaries (link-layer aggregation). Its latency-gradient
 //!    measurements turn to noise and the latency penalty crushes it.
+//!
+//! Each scenario is built by `starvation::paper`, as in `repro`, but run
+//! for 30 s.
 
-use netsim::{AckPolicy, FlowConfig, Jitter, LinkConfig, Network, SimConfig};
-use simcore::rng::Xoshiro256;
-use simcore::units::{Dur, Rate};
+use netsim::Network;
+use simcore::units::Dur;
+use starvation::paper;
 
 fn report(name: &str, labels: [&str; 2], r: &netsim::SimResult) {
     let t0 = r.flows[0].throughput_at(r.end).mbps();
@@ -29,49 +32,23 @@ fn report(name: &str, labels: [&str; 2], r: &netsim::SimResult) {
 }
 
 fn main() {
-    let secs = Dur::from_secs(30);
+    let dur = Dur::from_secs(30);
 
-    // --- Copa: min-RTT poisoning (§5.1) ---
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let poisoned = FlowConfig::bulk(Box::new(cca::Copa::default_params()), Dur::from_millis(59))
-        .with_jitter(Jitter::ExtraExcept {
-            extra: Dur::from_millis(1),
-            period: 5_000,
-            offset: 0,
-        });
-    let clean = FlowConfig::bulk(Box::new(cca::Copa::default_params()), Dur::from_millis(60));
-    let r = Network::new(SimConfig::new(link, vec![poisoned, clean], secs)).run();
+    let r = Network::new(paper::copa_poison(Dur::from_millis(1), dur)).run();
     report(
         "Copa, one flow with 1 ms persistent jitter (paper: 8.8 vs 95)",
         ["poisoned min-RTT", "clean path"],
         &r,
     );
 
-    // --- BBR: RTT asymmetry in cwnd-limited mode (§5.2) ---
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let mk = |rm_ms: u64, seed: u64| {
-        FlowConfig::bulk(Box::new(cca::Bbr::new(1500, seed)), Dur::from_millis(rm_ms))
-            .with_jitter(Jitter::Random {
-                max: Dur::from_millis(2),
-                rng: Xoshiro256::new(seed * 7 + 1),
-            })
-    };
-    let r = Network::new(SimConfig::new(link, vec![mk(40, 1), mk(80, 2)], secs)).run();
+    let r = Network::new(paper::bbr_rtt_asymmetry(0, dur)).run();
     report(
         "BBR, Rm 40 ms vs 80 ms (paper: 8.3 vs 107)",
         ["Rm = 40 ms", "Rm = 80 ms"],
         &r,
     );
 
-    // --- Vivace: ACK quantization (§5.3) ---
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let quantized = FlowConfig::bulk(Box::new(cca::Vivace::new(1)), Dur::from_millis(60))
-        .with_transport(netsim::Transport::Datagram)
-        .with_ack_policy(AckPolicy::Quantized {
-            period: Dur::from_millis(60),
-        });
-    let clean = FlowConfig::bulk(Box::new(cca::Vivace::new(2)), Dur::from_millis(60)).with_transport(netsim::Transport::Datagram);
-    let r = Network::new(SimConfig::new(link, vec![quantized, clean], secs)).run();
+    let r = Network::new(paper::vivace_ack_quantization(0, dur)).run();
     report(
         "PCC Vivace, one flow's ACKs quantized to 60 ms (paper: 9.9 vs 99.4)",
         ["quantized ACKs", "clean path"],

@@ -4,22 +4,21 @@
 use cca::delay_aimd::DelayAimdConfig;
 use cca::jitter_aware::JitterAwareConfig;
 use cca::BoxCca;
-use netsim::{FlowConfig, Jitter, LinkConfig, Network, SimConfig};
-use simcore::rng::Xoshiro256;
+use netsim::{FlowConfig, LinkConfig, Network, SimConfig, SimResult};
 use simcore::units::{Dur, Rate, Time};
 use starvation::fairness::check_s_fairness;
 use starvation::merit::{exponential_merit, vegas_family_merit};
-use testkit::harness::asymmetric_jitter_run;
+use starvation::paper;
 
-fn jitter_aware(a_mbps: f64) -> BoxCca {
-    let mut cfg = JitterAwareConfig::example(Dur::from_millis(50));
-    cfg.a = Rate::from_mbps(a_mbps);
-    Box::new(cca::JitterAware::new(cfg))
+/// §6.3's scenario for `mk`'s CCA at the designed jitter `D` = 10 ms, 60 s.
+fn jitter_vs_clean(mk: impl Fn() -> BoxCca) -> SimResult {
+    let config = paper::jitter_vs_clean(mk, Dur::from_millis(10), Dur::from_secs(60));
+    Network::new(config).run()
 }
 
 #[test]
 fn algorithm1_is_s_fair_under_designed_jitter() {
-    let r = asymmetric_jitter_run(|| jitter_aware(0.4), 60);
+    let r = jitter_vs_clean(paper::algorithm1);
     // Definition 2, checked empirically: a time exists after which the
     // ratio stays below s (with AIMD-sawtooth slack).
     let report = check_s_fairness(&r.flows[0], &r.flows[1], r.end, 2.0 * 1.8, 30);
@@ -32,7 +31,7 @@ fn algorithm1_is_s_fair_under_designed_jitter() {
 
 #[test]
 fn vegas_is_not_s_fair_under_the_same_jitter() {
-    let r = asymmetric_jitter_run(|| Box::new(cca::Vegas::default_params()), 60);
+    let r = jitter_vs_clean(|| Box::new(cca::Vegas::default_params()));
     let report = check_s_fairness(&r.flows[0], &r.flows[1], r.end, 3.0, 30);
     // Vegas's ratio keeps exceeding 3 in the tail of the run.
     assert!(
@@ -46,14 +45,7 @@ fn vegas_is_not_s_fair_under_the_same_jitter() {
 fn algorithm1_efficient_despite_jitter() {
     // Theorem 2's flip side: because Algorithm 1 maintains ≥ D of delay,
     // jitter ≤ D cannot trick it into under-utilization.
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(40.0));
-    let flow = FlowConfig::bulk(jitter_aware(0.4), Dur::from_millis(50)).with_jitter(
-        Jitter::Random {
-            max: Dur::from_millis(10),
-            rng: Xoshiro256::new(13),
-        },
-    );
-    let r = Network::new(SimConfig::new(link, vec![flow], Dur::from_secs(60))).run();
+    let r = Network::new(paper::jittered_alone(Dur::from_secs(60)).sim(paper::algorithm1())).run();
     let half = Time(r.end.as_nanos() / 2);
     let tail = r.flows[0].throughput_over(half, r.end).mbps();
     assert!(tail > 20.0, "tail={tail}");
@@ -90,7 +82,7 @@ fn delay_aimd_survives_designed_jitter_and_shares() {
             Dur::from_millis(10),
         )))
     };
-    let r = asymmetric_jitter_run(mk, 60);
+    let r = jitter_vs_clean(mk);
     let a = r.flows[0].throughput_at(r.end).mbps();
     let b = r.flows[1].throughput_at(r.end).mbps();
     let ratio = a.max(b) / a.min(b).max(1e-9);

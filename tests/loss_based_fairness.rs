@@ -1,32 +1,12 @@
-//! Integration: §5.4's loss-based side — Reno/Cubic suffer *bounded*
-//! unfairness under ACK-burst jitter but do not starve, and the `ccmc`
-//! model checker bounds AIMD's unfairness over the discrete trace grid.
+//! Integration: §5.4's loss-based side — Reno/Cubic keep the pipe busy
+//! under random loss, and the `ccmc` model checker bounds AIMD's
+//! unfairness over the discrete trace grid. Figure 7's bounded
+//! delayed-ACK unfairness is asserted on its published run, in the `repro`
+//! test `fig7::delayed_ack_flow_loses_but_is_not_starved`.
 
 use ccmc::{search_max_ratio, ModelConfig, ModelState, SearchConfig};
 use netsim::{FlowConfig, LinkConfig, Network, SimConfig};
 use simcore::units::{Dur, Rate};
-use testkit::harness::fig7_scenario;
-
-#[test]
-fn reno_delayed_ack_unfairness_is_bounded() {
-    let (clean, delayed) = fig7_scenario(|| Box::new(cca::NewReno::default_params()), 60);
-    let ratio = clean / delayed;
-    // Unfair (the bursty flow loses more) but bounded — the paper's 2.7×,
-    // nothing like the delay-CCA 10× starvation.
-    assert!(ratio > 1.2, "clean={clean} delayed={delayed}");
-    assert!(ratio < 8.0, "ratio={ratio}");
-    // And the link stays utilized.
-    assert!(clean + delayed > 4.0);
-}
-
-#[test]
-fn cubic_delayed_ack_unfairness_is_bounded() {
-    let (clean, delayed) = fig7_scenario(|| Box::new(cca::Cubic::default_params()), 60);
-    let ratio = clean / delayed;
-    assert!(ratio > 1.0, "clean={clean} delayed={delayed}");
-    assert!(ratio < 8.0, "ratio={ratio}");
-    assert!(clean + delayed > 4.0);
-}
 
 #[test]
 fn reno_and_cubic_survive_random_loss() {

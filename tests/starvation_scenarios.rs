@@ -1,134 +1,31 @@
-//! Integration: the paper's §5 empirical starvation scenarios, built from
-//! the public `netsim` + `cca` APIs (reduced durations; the full-length
-//! versions live in the `repro` harness).
+//! Integration: controls and extensions around the paper's §5 starvation
+//! scenarios. Each starvation claim is asserted once, on the run the
+//! `repro` experiment publishes (the tests of `exp_copa`, `exp_bbr`,
+//! `exp_vivace` and `exp_allegro`). This file keeps the runs that differ
+//! from those: the same CCAs without the §5 impairment, a lone lossy
+//! Allegro flow built by `starvation::paper`, and Copa's competitive mode.
 
-use netsim::{AckPolicy, FlowConfig, Jitter, LinkConfig, Network, SimConfig};
-use simcore::rng::Xoshiro256;
+use netsim::{FlowConfig, LinkConfig, Network, SimConfig};
 use simcore::units::{Dur, Rate, Time};
-use testkit::harness::{allegro_flow, allegro_link, copa_poisoned_flow, mbps};
-
-// ---------- §5.1 Copa ----------
-
-#[test]
-fn copa_single_flow_self_starves_on_poisoned_path() {
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let r = Network::new(SimConfig::new(
-        link,
-        vec![copa_poisoned_flow()],
-        Dur::from_secs(20),
-    ))
-    .run();
-    let tput = mbps(&r, 0);
-    // Copa's own math caps it near 1/(δ·1 ms) = 24 Mbit/s on a 120 Mbit/s
-    // link — an 80% capacity loss from a 1 ms measurement error.
-    assert!(tput < 40.0, "tput={tput}");
-    assert!(tput > 1.0);
-}
-
-#[test]
-fn copa_two_flows_poisoned_one_starves() {
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let clean = FlowConfig::bulk(Box::new(cca::Copa::default_params()), Dur::from_millis(60));
-    let r = Network::new(SimConfig::new(
-        link,
-        vec![copa_poisoned_flow(), clean],
-        Dur::from_secs(20),
-    ))
-    .run();
-    let (poisoned, clean) = (mbps(&r, 0), mbps(&r, 1));
-    assert!(
-        clean / poisoned > 3.0,
-        "poisoned={poisoned} clean={clean}"
-    );
-    assert!(clean > 60.0);
-}
-
-// ---------- §5.2 BBR ----------
-
-#[test]
-fn bbr_smaller_rtt_flow_starves_in_cwnd_limited_mode() {
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let mk = |rm_ms: u64, seed: u64| {
-        FlowConfig::bulk(Box::new(cca::Bbr::new(1500, seed)), Dur::from_millis(rm_ms))
-            .with_jitter(Jitter::Random {
-                max: Dur::from_millis(2),
-                rng: Xoshiro256::new(seed * 7 + 1),
-            })
-    };
-    let r = Network::new(SimConfig::new(
-        link,
-        vec![mk(40, 1), mk(80, 2)],
-        Dur::from_secs(40),
-    ))
-    .run();
-    let (small, large) = (mbps(&r, 0), mbps(&r, 1));
-    assert!(large / small > 2.5, "small={small} large={large}");
-    // cwnd-limited mode: the small-RTT flow's observed RTT far exceeds its
-    // 40 ms propagation delay (≈ 2·Rm of the large flow's equilibrium).
-    let a = Time(r.end.as_nanos() / 2);
-    let mean = r.flows[0]
-        .mean_rtt_in(a, r.end)
-        .expect("the cwnd-limited flow keeps acking (slowly) through the window");
-    assert!(mean > 0.080, "mean rtt={mean}");
-}
-
-// ---------- §5.3 PCC Vivace ----------
-
-#[test]
-fn vivace_quantized_acks_starve_that_flow() {
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let rm = Dur::from_millis(60);
-    let quantized = FlowConfig::bulk(Box::new(cca::Vivace::new(1)), rm)
-        .with_transport(netsim::Transport::Datagram)
-        .with_ack_policy(AckPolicy::Quantized {
-            period: Dur::from_millis(60),
-        });
-    let clean = FlowConfig::bulk(Box::new(cca::Vivace::new(2)), rm).with_transport(netsim::Transport::Datagram);
-    let r = Network::new(SimConfig::new(
-        link,
-        vec![quantized, clean],
-        Dur::from_secs(20),
-    ))
-    .run();
-    let (q, c) = (mbps(&r, 0), mbps(&r, 1));
-    assert!(c / q > 2.5, "quantized={q} clean={c}");
-    assert!(c > 40.0);
-}
+use starvation::paper;
+use testkit::harness::mbps;
 
 #[test]
 fn vivace_fills_clean_link_alone() {
-    // Control: the same CCA with clean ACKs is f-efficient on this path.
+    // Control for §5.3: the same CCA with clean ACKs is f-efficient on this path.
     let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let flow = FlowConfig::bulk(Box::new(cca::Vivace::new(2)), Dur::from_millis(60)).with_transport(netsim::Transport::Datagram);
+    let flow = FlowConfig::bulk(Box::new(cca::Vivace::new(2)), Dur::from_millis(60))
+        .with_transport(netsim::Transport::Datagram);
     let r = Network::new(SimConfig::new(link, vec![flow], Dur::from_secs(20))).run();
     let half = Time(r.end.as_nanos() / 2);
     let tail = r.flows[0].throughput_over(half, r.end).mbps();
     assert!(tail > 80.0, "tail={tail}");
 }
 
-// ---------- §5.4 PCC Allegro ----------
-
-#[test]
-fn allegro_asymmetric_random_loss_starves_the_lossy_flow() {
-    let r = Network::new(SimConfig::new(
-        allegro_link(),
-        vec![allegro_flow(0.02, 1), allegro_flow(0.0, 2)],
-        Dur::from_secs(45),
-    ))
-    .run();
-    let (lossy, clean) = (mbps(&r, 0), mbps(&r, 1));
-    assert!(clean / lossy > 2.5, "lossy={lossy} clean={clean}");
-}
-
 #[test]
 fn allegro_single_flow_tolerates_two_percent_loss() {
     // PCC's design goal: full utilization below the 5% threshold.
-    let r = Network::new(SimConfig::new(
-        allegro_link(),
-        vec![allegro_flow(0.02, 5)],
-        Dur::from_secs(30),
-    ))
-    .run();
+    let r = Network::new(paper::allegro_lossy_alone(Dur::from_secs(30))).run();
     assert!(mbps(&r, 0) > 60.0, "tput={}", mbps(&r, 0));
 }
 
@@ -160,8 +57,6 @@ fn copa_competitive_mode_survives_reno() {
     );
     assert!(competitive_share > 2.0, "competitive={competitive_share}");
 }
-
-// ---------- cross-cutting ----------
 
 #[test]
 fn starvation_needs_the_jitter_not_the_topology() {
