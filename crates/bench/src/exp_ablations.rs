@@ -24,7 +24,6 @@ use cca::BoxCca;
 #[cfg(test)]
 use netsim::Network;
 use netsim::SimConfig;
-use simcore::par;
 use simcore::units::{Dur, Rate};
 use starvation::paper;
 use starvation::sweep::{RowSummary, Sweep, SweepJob};
@@ -182,15 +181,10 @@ fn delay_aimd_spec(q_hi_ms: u64, secs: u64) -> Case {
     }
 }
 
-/// Run all four ablations using every available core.
-pub fn run(quick: bool) -> AblationsReport {
-    run_with(quick, par::available_jobs())
-}
-
-/// Run all four ablations, the simulated cases across `jobs` workers on the
-/// shared sweep engine. The fixed-point iteration (group 1) is pure
-/// arithmetic and stays serial; row order matches the serial harness.
-pub fn run_with(quick: bool, jobs: usize) -> AblationsReport {
+/// Run all four ablations, the simulated cases on `sweep` (`repro` names
+/// it "ablations"). The fixed-point iteration (group 1) is pure arithmetic
+/// and stays serial; row order matches the serial harness.
+pub fn run(quick: bool, sweep: Sweep) -> AblationsReport {
     let secs = if quick { 40u64 } else { 90 };
     let mut cases: Vec<Case> = Vec::new();
     for poison in [0.5, 1.0, 2.0, 4.0] {
@@ -206,7 +200,7 @@ pub fn run_with(quick: bool, jobs: usize) -> AblationsReport {
         .iter()
         .map(|c| SweepJob::new(format!("{}/{}", c.group, c.setting), c.config.clone()))
         .collect();
-    let report = Sweep::new("ablations").jobs(jobs).run(job_list);
+    let report = sweep.run(job_list);
 
     let mut rows = vec![bbr_quanta_fixed_point(true), bbr_quanta_fixed_point(false)];
     rows.extend(
@@ -217,6 +211,9 @@ pub fn run_with(quick: bool, jobs: usize) -> AblationsReport {
     );
     AblationsReport { rows }
 }
+
+/// Crossing stub: `benchmark/` still calls this; the next `benchmark` change moves it to [`run`].
+pub fn run_with(quick: bool, jobs: usize) -> AblationsReport { run(quick, Sweep::new("ablations").jobs(jobs)) }
 
 impl AblationsReport {
     /// Rows of one group.

@@ -24,7 +24,6 @@ use cca::BoxCca;
 #[cfg(test)]
 use netsim::Network;
 use netsim::SimConfig;
-use simcore::par;
 use simcore::units::{Dur, Rate};
 use starvation::paper;
 use starvation::sweep::{RowSummary, Sweep, SweepJob};
@@ -91,15 +90,10 @@ fn cell(osc_ms: u64, jitter_ms: u64, secs: u64) -> BoundaryCell {
     cell_from(osc_ms, jitter_ms, &RowSummary::of("", None, &r))
 }
 
-/// Sweep the `Δ × D` grid using every available core.
-pub fn run(quick: bool) -> BoundaryReport {
-    run_with(quick, par::available_jobs())
-}
-
-/// Sweep the `Δ × D` grid across `jobs` workers on the shared engine.
-/// Cell order (oscillation outer, jitter inner) is preserved at any worker
+/// Sweep the `Δ × D` grid on `sweep` (`repro` names it "boundary"). Cell
+/// order (oscillation outer, jitter inner) is preserved at any worker
 /// count.
-pub fn run_with(quick: bool, jobs: usize) -> BoundaryReport {
+pub fn run(quick: bool, sweep: Sweep) -> BoundaryReport {
     let secs = if quick { 30 } else { 60 };
     let osc_values = vec![2u64, 5, 10, 20, 40];
     let jitter_values = vec![2u64, 5, 10, 20, 40];
@@ -111,7 +105,7 @@ pub fn run_with(quick: bool, jobs: usize) -> BoundaryReport {
         .iter()
         .map(|&(o, j)| SweepJob::new(format!("osc{o}/jit{j}"), cell_config(o, j, secs)))
         .collect();
-    let report = Sweep::new("boundary").jobs(jobs).run(job_list);
+    let report = sweep.run(job_list);
     let cells: Vec<BoundaryCell> = grid
         .iter()
         .zip(&report.rows)
@@ -123,6 +117,9 @@ pub fn run_with(quick: bool, jobs: usize) -> BoundaryReport {
         jitter_values,
     }
 }
+
+/// Crossing stub: `benchmark/` still calls this; the next `benchmark` change moves it to [`run`].
+pub fn run_with(quick: bool, jobs: usize) -> BoundaryReport { run(quick, Sweep::new("boundary").jobs(jobs)) }
 
 impl BoundaryReport {
     /// Ratio at a given cell.

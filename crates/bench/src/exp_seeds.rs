@@ -15,7 +15,6 @@
 
 use crate::table::{fnum, TextTable};
 use netsim::SimConfig;
-use simcore::par;
 use simcore::stats::Summary;
 use simcore::units::Dur;
 use starvation::paper;
@@ -65,13 +64,9 @@ const SCENARIOS: [(&str, MkScenario); 3] = [
     ),
 ];
 
-/// Run each randomized scenario over `n` seeds, using every available core.
-pub fn run(quick: bool) -> SeedsReport {
-    run_with(quick, par::available_jobs())
-}
-
-/// Run the sweep across `jobs` workers.
-pub fn run_with(quick: bool, jobs: usize) -> SeedsReport {
+/// Run each randomized scenario over its seeds on `sweep` (`repro` names
+/// it "seeds").
+pub fn run(quick: bool, sweep: Sweep) -> SeedsReport {
     let (n, secs) = if quick { (3u64, 40) } else { (5u64, 60) };
     let dur = Dur::from_secs(secs);
     let job_list: Vec<SweepJob> = SCENARIOS
@@ -80,7 +75,7 @@ pub fn run_with(quick: bool, jobs: usize) -> SeedsReport {
             (0..n).map(move |s| SweepJob::new(format!("{name}/seed{s}"), mk(s, dur)))
         })
         .collect();
-    let report = Sweep::new("seeds").jobs(jobs).run(job_list);
+    let report = sweep.run(job_list);
     let rows = SCENARIOS
         .iter()
         .enumerate()
@@ -94,6 +89,9 @@ pub fn run_with(quick: bool, jobs: usize) -> SeedsReport {
         .collect();
     SeedsReport { rows }
 }
+
+/// Crossing stub: `benchmark/` still calls this; the next `benchmark` change moves it to [`run`].
+pub fn run_with(quick: bool, jobs: usize) -> SeedsReport { run(quick, Sweep::new("seeds").jobs(jobs)) }
 
 impl SeedsReport {
     /// Render the distribution table.
@@ -129,7 +127,7 @@ mod tests {
 
     #[test]
     fn starvation_holds_across_seeds() {
-        let r = run(true);
+        let r = run(true, Sweep::new("seeds"));
         for row in &r.rows {
             let s = row.summary();
             if row.scenario.contains("Allegro") {

@@ -51,10 +51,14 @@ pub struct SweepReport {
     pub aborted: bool,
 }
 
+/// The demo grid's name: its sweep's progress tag, written into the
+/// grid's manifest.
+pub const NAME: &str = "grid-demo";
+
 /// The demo grid: the paper's probing CCAs over rate × jitter × seed.
 pub fn spec(quick: bool) -> ScenarioSpec {
     let (seeds, secs): (&[u64], u64) = if quick { (&[1], 12) } else { (&[1, 2, 3], 30) };
-    ScenarioSpec::new("grid-demo")
+    ScenarioSpec::new(NAME)
         .cca(CcaSpec::new("copa", |_s| {
             Box::new(cca::Copa::default_params())
         }))
@@ -67,20 +71,20 @@ pub fn spec(quick: bool) -> ScenarioSpec {
         .sample_every(Dur::from_millis(20))
 }
 
-/// Run the demo grid against `opts` and fold the per-row summaries into
-/// the grid table. Rows are extracted from the persisted [`RowSummary`]s
+/// Run the demo grid on `sweep` (`repro` names it [`NAME`]) against
+/// `opts` and fold the per-row summaries into the grid table. Rows are extracted from the persisted [`RowSummary`]s
 /// (the `SimResult`s died in their workers), so the table is byte-stable
 /// between a fresh run and a fully-cached re-run.
 ///
 /// [`RowSummary`]: starvation::sweep::RowSummary
-pub fn run_stored(quick: bool, jobs: usize, opts: &StoreOptions) -> SweepReport {
+pub fn run_stored(quick: bool, sweep: Sweep, opts: &StoreOptions) -> SweepReport {
     let s = spec(quick);
     let rtts: Vec<f64> = s
         .points()
         .into_iter()
         .map(|(_, p)| p.rm.as_millis_f64())
         .collect();
-    let inc = Sweep::new(&s.name).jobs(jobs).run_incremental(s.expand(), opts);
+    let inc = sweep.run_incremental(s.expand(), opts);
     // An aborted run reports no rows, so neither does the table.
     let rows = inc
         .rows
@@ -170,7 +174,7 @@ mod tests {
     #[test]
     fn grid_runs_and_keeps_row_major_order() {
         let dir = tmp_store("order");
-        let r = run_stored(true, 4, &StoreOptions::new(&dir));
+        let r = run_stored(true, Sweep::new(NAME).jobs(4), &StoreOptions::new(&dir));
         // 2 ccas × 2 rates × 1 rtt × 2 jitters × 1 seed.
         assert_eq!(r.rows.len(), 8);
         assert_eq!(r.executed, 8);
@@ -208,8 +212,8 @@ mod tests {
     #[test]
     fn rerun_is_a_full_cache_hit_with_identical_table() {
         let dir = tmp_store("cachehit");
-        let first = run_stored(true, 4, &StoreOptions::new(&dir));
-        let second = run_stored(true, 1, &StoreOptions::new(&dir));
+        let first = run_stored(true, Sweep::new(NAME).jobs(4), &StoreOptions::new(&dir));
+        let second = run_stored(true, Sweep::new(NAME).jobs(1), &StoreOptions::new(&dir));
         assert_eq!(second.executed, 0, "completed grid re-runs nothing");
         assert_eq!(second.cached, 8);
         assert_eq!(
@@ -238,7 +242,7 @@ mod tests {
     #[test]
     fn clean_cells_are_fairer_than_jittered_ones() {
         let dir = tmp_store("fairness");
-        let r = run_stored(true, 4, &StoreOptions::new(&dir));
+        let r = run_stored(true, Sweep::new(NAME).jobs(4), &StoreOptions::new(&dir));
         let mean = |jit: f64| {
             let v: Vec<f64> = r
                 .rows

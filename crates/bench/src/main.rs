@@ -54,7 +54,6 @@
 
 use repro::table::TextTable;
 use repro::*;
-use simcore::par;
 
 fn save(t: &TextTable, name: &str) {
     let path = result_path(name);
@@ -174,14 +173,14 @@ fn run_algo1(quick: bool) {
     save(&r.table(), "algo1.csv");
 }
 
-fn run_seeds(quick: bool, jobs: usize) {
-    let r = exp_seeds::run_with(quick, jobs);
+fn run_seeds(quick: bool, flags: &SweepFlags) {
+    let r = exp_seeds::run(quick, flags.sweep("seeds"));
     println!("{r}");
     save(&r.table(), "seeds.csv");
 }
 
-fn run_boundary(quick: bool, jobs: usize) {
-    let r = exp_boundary::run_with(quick, jobs);
+fn run_boundary(quick: bool, flags: &SweepFlags) {
+    let r = exp_boundary::run(quick, flags.sweep("boundary"));
     println!("{r}");
     save(&r.table(), "boundary.csv");
 }
@@ -192,8 +191,8 @@ fn run_ecn(quick: bool) {
     save(&r.table(), "ecn.csv");
 }
 
-fn run_ablations(quick: bool, jobs: usize) {
-    let r = exp_ablations::run_with(quick, jobs);
+fn run_ablations(quick: bool, flags: &SweepFlags) {
+    let r = exp_ablations::run(quick, flags.sweep("ablations"));
     println!("{r}");
     save(&r.table(), "ablations.csv");
 }
@@ -216,7 +215,7 @@ fn run_ccmc(quick: bool) {
 /// have been persisted, without writing a final checkpoint — exactly what
 /// a `kill -9` between a row commit and the next checkpoint leaves
 /// behind. An aborted run exits 3.
-fn run_sweep(args: &[String], quick: bool, jobs: usize) {
+fn run_sweep(args: &[String], quick: bool, flags: &SweepFlags) {
     let fresh = args.iter().any(|a| a == "--fresh");
     let store_dir = store_dir(args);
     let kill_after = std::env::var("SWEEP_KILL_AFTER")
@@ -225,7 +224,7 @@ fn run_sweep(args: &[String], quick: bool, jobs: usize) {
     let opts = starvation::sweep::StoreOptions::new(&store_dir)
         .fresh(fresh)
         .kill_after(kill_after);
-    let r = exp_sweep::run_stored(quick, jobs, &opts);
+    let r = exp_sweep::run_stored(quick, flags.sweep(exp_sweep::NAME), &opts);
     if r.aborted {
         eprintln!(
             "sweep: aborted by SWEEP_KILL_AFTER after {} row(s); run again to resume",
@@ -247,26 +246,13 @@ fn run_sweep(args: &[String], quick: bool, jobs: usize) {
 /// stderr and excluded (exit 0 still; they recompute on the next sweep).
 fn run_report(args: &[String]) {
     let store_dir = store_dir(args);
-    let parse_f64 = |flag: &str| -> Option<f64> {
-        parse_opt(args, flag).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: {flag} expects a number (got {v:?})");
-                std::process::exit(2);
-            })
-        })
-    };
     let query = report::Query {
-        cca: parse_opt(args, "--cca"),
-        jitter_ms: parse_f64("--jitter-ms"),
-        rate_mbps: parse_f64("--rate-mbps"),
-        seed: parse_opt(args, "--seed").map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: --seed expects an integer (got {v:?})");
-                std::process::exit(2);
-            })
-        }),
+        cca: flag(args, "--cca"),
+        jitter_ms: flag(args, "--jitter-ms"),
+        rate_mbps: flag(args, "--rate-mbps"),
+        seed: flag(args, "--seed"),
     };
-    let format = parse_opt(args, "--format").unwrap_or_else(|| "table".to_string());
+    let format = flag(args, "--format").unwrap_or_else(|| "table".to_string());
     let scan = report::scan(&store_dir).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -294,9 +280,8 @@ fn run_report(args: &[String]) {
             std::process::exit(2);
         }
     };
-    match parse_opt(args, "--out") {
+    match flag::<std::path::PathBuf>(args, "--out") {
         Some(path) => {
-            let path = std::path::PathBuf::from(path);
             if let Some(parent) = path.parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
@@ -394,29 +379,15 @@ fn run_lint(args: &[String]) -> ! {
 
 /// The result store: `--store DIR`, else `results/store`.
 fn store_dir(args: &[String]) -> std::path::PathBuf {
-    parse_opt(args, "--store")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| result_path("store"))
+    flag(args, "--store").unwrap_or_else(|| result_path("store"))
 }
 
-/// Parse a `--flag VALUE` / `--flag=VALUE` string option.
-fn parse_opt(args: &[String], flag: &str) -> Option<String> {
-    let prefix = format!("{flag}=");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            match it.next() {
-                Some(v) => return Some(v.clone()),
-                None => {
-                    eprintln!("error: {flag} expects a value");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-    }
-    None
+/// [`parse_flag`], exiting 2 with its error.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    parse_flag(args, name).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// `repro fuzz [--quick] [--seed N] [--count N] [--jobs N] [--out DIR]
@@ -432,8 +403,7 @@ fn run_fuzz(args: &[String], quick: bool, jobs: usize) -> ! {
     // The seed corpus lives relative to the workspace root.
     let root = workspace_root();
 
-    if let Some(file) = parse_opt(args, "--replay") {
-        let path = std::path::PathBuf::from(file);
+    if let Some(path) = flag::<std::path::PathBuf>(args, "--replay") {
         let s = scenario::load_file(&path).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
@@ -461,22 +431,11 @@ fn run_fuzz(args: &[String], quick: bool, jobs: usize) -> ! {
         }
     }
 
-    let parse_num = |flag: &str, default: u64| -> u64 {
-        match parse_opt(args, flag) {
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("error: {flag} expects a number (got {v:?})");
-                std::process::exit(2);
-            }),
-            None => default,
-        }
-    };
-    let seed = parse_num("--seed", 1);
+    let seed = flag(args, "--seed").unwrap_or(1u64);
     // CI's smoke floor is 200 generated scenarios; --quick stays just
     // above it, a full run explores much further.
-    let count = parse_num("--count", if quick { 240 } else { 2000 }) as usize;
-    let out_dir = parse_opt(args, "--out")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| result_path("fuzz"));
+    let count = flag(args, "--count").unwrap_or(if quick { 240 } else { 2000 });
+    let out_dir = flag(args, "--out").unwrap_or_else(|| result_path("fuzz"));
     let corpus_dir = root.join("tests/scenarios");
     let corpus = scenario::load_dir(&corpus_dir).unwrap_or_else(|e| {
         eprintln!("error: bad corpus file: {e}");
@@ -515,42 +474,13 @@ fn run_fuzz(args: &[String], quick: bool, jobs: usize) -> ! {
     std::process::exit(if report.violations > 0 { 1 } else { 0 });
 }
 
-/// Parse `--jobs N` / `--jobs=N`. Returns available parallelism when the
-/// flag is absent; exits with a usage message when it is malformed.
-fn parse_jobs(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = if a == "--jobs" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return match value.and_then(|v| v.parse::<usize>().ok()) {
-            Some(0) => par::available_jobs(),
-            Some(n) => n,
-            None => {
-                eprintln!("error: --jobs expects a number (got {value:?})");
-                std::process::exit(2);
-            }
-        };
-    }
-    par::available_jobs()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let jobs = parse_jobs(&args);
-    if args.iter().any(|a| a == "--progress") {
-        // The sweep engine reads this when constructing each runner.
-        std::env::set_var("SWEEP_PROGRESS", "1");
-    }
-    if args.iter().any(|a| a == "--audit") {
-        // The sweep engine reads this when constructing each runner.
-        std::env::set_var("SWEEP_AUDIT", "1");
-    }
+    let flags = SweepFlags::parse(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let positional: Vec<&str> = args
         .iter()
         .enumerate()
@@ -583,15 +513,15 @@ fn main() {
         "merit" => run_merit(quick),
         "algo1" => run_algo1(quick),
         "ccmc" => run_ccmc(quick),
-        "ablations" => run_ablations(quick, jobs),
+        "ablations" => run_ablations(quick, &flags),
         "ecn" => run_ecn(quick),
-        "boundary" => run_boundary(quick, jobs),
-        "seeds" => run_seeds(quick, jobs),
-        "sweep" => run_sweep(&args, quick, jobs),
+        "boundary" => run_boundary(quick, &flags),
+        "seeds" => run_seeds(quick, &flags),
+        "sweep" => run_sweep(&args, quick, &flags),
         "report" => run_report(&args),
         "trace" => run_trace(positional.get(1).copied()),
         "lint" => run_lint(&args),
-        "fuzz" => run_fuzz(&args, quick, jobs),
+        "fuzz" => run_fuzz(&args, quick, flags.jobs),
         "all" => {
             run_glossary();
             run_fig1(quick);
@@ -606,11 +536,11 @@ fn main() {
             run_merit(quick);
             run_algo1(quick);
             run_ccmc(quick);
-            run_ablations(quick, jobs);
+            run_ablations(quick, &flags);
             run_ecn(quick);
-            run_boundary(quick, jobs);
-            run_seeds(quick, jobs);
-            run_sweep(&args, quick, jobs);
+            run_boundary(quick, &flags);
+            run_seeds(quick, &flags);
+            run_sweep(&args, quick, &flags);
         }
         _ => {
             println!(

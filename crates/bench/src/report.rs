@@ -335,7 +335,11 @@ mod tests {
         let scan = scan(&dir).expect("store scans");
         let agg = aggregate(&scan.rows);
         assert_eq!(agg.rows, 8);
-        assert_eq!(agg.flows, 16);
+        assert_eq!(agg.flows, 16, "two flows per grid point");
+        assert_eq!(agg.throughput_mbps.total(), 16);
+        assert!(agg.min_jain <= 1.0 && agg.min_jain > 0.0);
+        let rendered = agg.render();
+        assert!(rendered.contains("rows 8"), "{rendered}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -118,14 +118,6 @@ impl Copa {
         Copa::new(1500, 0.5)
     }
 
-    /// Set the long min-RTT window (default 10 s). The paper's §5.1
-    /// experiments rely on a poisoned min-RTT sample persisting; with the
-    /// default window the poison must recur at least every 10 s.
-    pub fn with_min_rtt_window(mut self, w: Dur) -> Self {
-        self.min_rtt = WindowedMin::new(w.as_nanos().max(1));
-        self
-    }
-
     /// Current min-RTT estimate (the poisonable filter).
     pub fn min_rtt(&self) -> Option<Dur> {
         self.min_rtt.get().map(Dur::from_secs_f64)
@@ -141,16 +133,6 @@ impl Copa {
         let s = self.standing_rtt.get()?;
         let m = self.min_rtt.get()?;
         Some(Dur::from_secs_f64((s - m).max(0.0)))
-    }
-
-    /// Target rate `1/(δ·dq)` in packets/second (∞ encoded as `f64::MAX`
-    /// when `dq = 0`).
-    pub fn target_rate_pps(&self) -> Option<f64> {
-        let dq = self.queueing_delay()?.as_secs_f64();
-        if dq <= 0.0 {
-            return Some(f64::MAX);
-        }
-        Some(1.0 / (self.delta * dq))
     }
 
     fn cwnd_pkts(&self) -> f64 {

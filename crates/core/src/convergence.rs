@@ -26,11 +26,6 @@ impl ConvergenceReport {
     pub fn delta(&self) -> f64 {
         self.d_max - self.d_min
     }
-
-    /// `δ(C)` as a [`Dur`].
-    pub fn delta_dur(&self) -> Dur {
-        Dur::from_secs_f64(self.delta())
-    }
 }
 
 /// Analyze an RTT trajectory.

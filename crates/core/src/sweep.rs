@@ -20,10 +20,10 @@
 //!   the impairment, flow 1 is clean, and their throughput ratio is the
 //!   starvation measurement.
 //!
-//! Progress reporting: set the `SWEEP_PROGRESS` environment variable (the
-//! `repro --progress` flag does) to log each completion to stderr, or
-//! attach a custom callback with [`Sweep::with_log`]. Reporting order may
-//! vary across runs; result order never does.
+//! A sweep reads no environment: everything it does is set through its
+//! builders. [`Sweep::with_log`] attaches a progress callback (one line per
+//! completed job; reporting order may vary across runs, result order never
+//! does), and [`Sweep::audit`] runs every row under the invariant auditor.
 
 use cca::BoxCca;
 use netsim::{FlowConfig, Jitter, LinkConfig, Network, SimConfig, SimResult};
@@ -162,21 +162,14 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// A sweep named `name` using every available core. Honors the
-    /// `SWEEP_PROGRESS` environment variable by installing a stderr
-    /// progress logger, and `SWEEP_AUDIT` (the `repro --audit` flag) by
-    /// running every row under the runtime invariant auditor.
+    /// A sweep named `name` using every available core, with no progress
+    /// log and no auditor.
     pub fn new(name: impl Into<String>) -> Sweep {
-        let log: Option<SweepLog> = match std::env::var("SWEEP_PROGRESS") {
-            Ok(v) if v != "0" => Some(Arc::new(|msg: &str| eprintln!("{msg}"))),
-            _ => None,
-        };
-        let audit = matches!(std::env::var("SWEEP_AUDIT"), Ok(v) if v != "0");
         Sweep {
             name: name.into(),
             jobs: par::available_jobs(),
-            log,
-            audit,
+            log: None,
+            audit: false,
         }
     }
 
@@ -420,9 +413,8 @@ impl RowSummary {
 
 /// Streaming sweep aggregate: rows fold in one at a time (counters and
 /// fixed-bucket histograms, no per-row allocation), so aggregating a
-/// million rows costs a few kilobytes of state. Folding happens in job
-/// order, making the aggregate independent of completion order and worker
-/// count.
+/// million rows costs a few kilobytes of state. `repro report` folds its
+/// sorted selection through it.
 #[derive(Clone, Debug)]
 pub struct SweepAggregate {
     /// Rows folded in.
@@ -511,6 +503,10 @@ impl SweepAggregate {
     }
 }
 
+/// Manifest checkpoint cadence in wall time: a long-running sweep
+/// snapshots its manifest at least this often, whatever its row cadence.
+const CHECKPOINT_WALL: Duration = Duration::from_secs(5);
+
 /// Options for an incremental ([`Sweep::run_incremental`]) sweep.
 #[derive(Clone, Debug)]
 pub struct StoreOptions {
@@ -521,10 +517,8 @@ pub struct StoreOptions {
     /// without invalidating other sweeps sharing the store.
     pub fresh: bool,
     /// Manifest checkpoint cadence in completed rows (0 = wall-time
-    /// cadence only).
+    /// cadence only, which is every 5 s).
     pub checkpoint_rows: usize,
-    /// Manifest checkpoint cadence in wall time.
-    pub checkpoint_wall: Duration,
     /// Crash-injection hook for the fault-injection suite and the CI
     /// smoke: stop dispatching once this many rows have been handed to
     /// the store writers this run, skip all remaining jobs, let the
@@ -542,7 +536,6 @@ impl StoreOptions {
             dir: dir.into(),
             fresh: false,
             checkpoint_rows: 64,
-            checkpoint_wall: Duration::from_secs(5),
             kill_after: None,
         }
     }
@@ -617,8 +610,6 @@ pub struct SweepReport {
     pub aborted: bool,
     /// One row per job in job-list order (empty when `aborted`).
     pub rows: Vec<SweepRow>,
-    /// Streaming aggregate over completed rows, folded in job order.
-    pub aggregate: SweepAggregate,
     /// Where this sweep's checkpoint manifest lives (`None` without a
     /// store).
     pub manifest_path: Option<PathBuf>,
@@ -674,10 +665,10 @@ impl Sweep {
     }
 
     /// The one sweep engine. Results stream: each `SimResult` is reduced
-    /// to a compact [`RowSummary`] inside its worker and dropped, and the
-    /// report's [`SweepAggregate`] is folded row by row — memory is
-    /// O(rows · flows) summaries, never O(rows) simulation states. With a
-    /// store, planning serves valid entries and writers persist fresh rows.
+    /// to a compact [`RowSummary`] inside its worker and dropped — memory
+    /// is O(rows · flows) summaries, never O(rows) simulation states. With
+    /// a store, planning serves valid entries and writers persist fresh
+    /// rows.
     fn execute(self, jobs_list: Vec<SweepJob>, store: Option<(&Store, &StoreOptions)>) -> SweepReport {
         let total = jobs_list.len();
         let name = self.name;
@@ -779,7 +770,7 @@ impl Sweep {
             manifest.done = done_digests;
             Mutex::new(CkState {
                 manifest,
-                cadence: Checkpointer::new(opts.checkpoint_rows, opts.checkpoint_wall),
+                cadence: Checkpointer::new(opts.checkpoint_rows, CHECKPOINT_WALL),
             })
         });
         let kill_after = store.and_then(|(_, opts)| opts.kill_after);
@@ -881,7 +872,6 @@ impl Sweep {
         unpersisted.sort(); // writers finish in any order; the report does not
         let aborted = abort.load(Ordering::Relaxed);
         let mut rows: Vec<SweepRow> = Vec::new();
-        let mut aggregate = SweepAggregate::default();
         if aborted {
             say(&format!(
                 "sweep {name}: ABORTED by kill hook after {} rows handed to the store",
@@ -898,8 +888,7 @@ impl Sweep {
                 }
             }
 
-            // Assemble rows in job order and fold the aggregate in that same
-            // order, so the aggregate is identical at any worker count.
+            // Assemble rows in job order.
             let mut fresh_rows = reports.into_iter();
             for (index, plan) in plans.into_iter().enumerate() {
                 let (label, outcome) = match plan {
@@ -914,9 +903,6 @@ impl Sweep {
                         }
                     }
                 };
-                if let Ok(summary) = &outcome {
-                    aggregate.fold(summary);
-                }
                 rows.push(SweepRow { index, label, outcome });
             }
         }
@@ -932,7 +918,6 @@ impl Sweep {
             uncacheable,
             aborted,
             rows,
-            aggregate,
             manifest_path,
         }
     }
@@ -1248,7 +1233,7 @@ mod tests {
         assert_eq!((report.total, report.executed, report.cached), (8, 8, 0));
         assert!(report.manifest_path.is_none());
         assert!(!report.aborted && report.unpersisted.is_empty());
-        assert_eq!(report.aggregate.rows, 8);
+        assert_eq!(report.rows.len(), 8);
     }
 
     #[test]
@@ -1393,7 +1378,7 @@ mod tests {
         assert_eq!(first.executed, 8);
         assert_eq!(first.cached, 0);
         assert!(!first.aborted);
-        assert_eq!(first.aggregate.rows, 8);
+        assert_eq!(first.rows.len(), 8);
         assert!(first.manifest_path.as_ref().is_some_and(|p| p.exists()));
 
         let second = Sweep::new("inc").jobs(4).run_incremental(tiny_spec().expand(), &opts);
@@ -1467,7 +1452,7 @@ mod tests {
         assert!(!resumed.aborted);
         assert_eq!(resumed.cached, 3, "persisted rows survive the kill");
         assert_eq!(resumed.executed, 5, "only the missing rows run");
-        assert_eq!(resumed.aggregate.rows, 8);
+        assert_eq!(resumed.rows.len(), 8);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1485,21 +1470,5 @@ mod tests {
         ud.sort();
         ud.dedup();
         assert_eq!(ud.len(), jobs.len(), "distinct canonical forms ⇒ distinct digests");
-    }
-
-    #[test]
-    fn aggregate_folds_rows_and_counts_starvation() {
-        let dir = store_tmpdir("agg");
-        let report = Sweep::new("agg")
-            .jobs(2)
-            .run_incremental(tiny_spec().expand(), &StoreOptions::new(&dir));
-        let agg = &report.aggregate;
-        assert_eq!(agg.rows, 8);
-        assert_eq!(agg.flows, 16, "two flows per grid point");
-        assert!(agg.throughput_mbps.total() == 16);
-        assert!(agg.min_jain <= 1.0 && agg.min_jain > 0.0);
-        let rendered = agg.render();
-        assert!(rendered.contains("rows 8"), "{rendered}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -54,9 +54,6 @@ pub enum RuleId {
     /// SL009 — `trace::Event` variant never constructed by the simulator
     /// (dead instrumentation).
     DeadTraceEvent,
-    /// SL010 — `Result` of a workspace fn discarded by an expression
-    /// statement in a library crate.
-    DiscardedResult,
 }
 
 /// Every rule, in ID order — the registry the CLI lists and the engine runs.
@@ -71,7 +68,6 @@ pub const ALL_RULES: &[RuleId] = &[
     RuleId::HotPathAlloc,
     RuleId::DeterminismTaint,
     RuleId::DeadTraceEvent,
-    RuleId::DiscardedResult,
 ];
 
 impl RuleId {
@@ -88,7 +84,6 @@ impl RuleId {
             RuleId::HotPathAlloc => "SL007",
             RuleId::DeterminismTaint => "SL008",
             RuleId::DeadTraceEvent => "SL009",
-            RuleId::DiscardedResult => "SL010",
         }
     }
 
@@ -105,7 +100,6 @@ impl RuleId {
             RuleId::HotPathAlloc => "hot-path-alloc",
             RuleId::DeterminismTaint => "determinism-taint",
             RuleId::DeadTraceEvent => "dead-trace-event",
-            RuleId::DiscardedResult => "discarded-result",
         }
     }
 
@@ -122,7 +116,6 @@ impl RuleId {
             RuleId::HotPathAlloc => Severity::Warning,
             RuleId::DeterminismTaint => Severity::Error,
             RuleId::DeadTraceEvent => Severity::Warning,
-            RuleId::DiscardedResult => Severity::Warning,
         }
     }
 
@@ -154,9 +147,6 @@ impl RuleId {
             }
             RuleId::DeadTraceEvent => {
                 "trace::Event variant never constructed by the simulator (dead instrumentation)"
-            }
-            RuleId::DiscardedResult => {
-                "expression statement discards the Result of a workspace fn in a library crate"
             }
         }
     }
@@ -234,7 +224,7 @@ mod tests {
             ids,
             vec![
                 "SL000", "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007", "SL008",
-                "SL009", "SL010"
+                "SL009"
             ]
         );
         let slugs: std::collections::BTreeSet<&str> = ALL_RULES.iter().map(|r| r.slug()).collect();

@@ -9,7 +9,7 @@
 //! ([`FileAnalysis`]) depends only on the file's bytes and the config.
 //!
 //! Phase 2 ([`finish`]) joins all analyses: the call-graph rules
-//! (SL007 v2/SL008/SL009/SL010, see [`crate::graph`]) run over every
+//! (SL007 v2/SL008/SL009, see [`crate::graph`]) run over every
 //! file's facts, then suppressions are applied per file and unused
 //! directives become SL000 errors.
 //!
@@ -64,8 +64,6 @@ pub struct Config {
     /// Sources where SL008 determinism-taint call edges are reported.
     /// (Taint *propagates* through all files; only findings are scoped.)
     pub taint_scope: Vec<String>,
-    /// Sources where SL010 discarded-Result findings are reported.
-    pub result_scope: Vec<String>,
     /// Sources whose `Event::…` constructions count as live for SL009.
     pub event_construct_scope: Vec<String>,
     /// The file defining `trace::Event` (empty = any file defining an
@@ -102,8 +100,7 @@ impl Config {
             panic_scope: lib.clone(),
             float_scope: lib.clone(),
             cast_scope: vec!["crates/netsim/src".to_string()],
-            taint_scope: lib.clone(),
-            result_scope: lib,
+            taint_scope: lib,
             event_construct_scope: vec!["crates/netsim/src".to_string()],
             trace_def_path: "crates/simcore/src/trace.rs".to_string(),
             determinism_allow: Vec::new(),
@@ -127,7 +124,6 @@ impl Config {
             float_scope: vec![String::new()],
             cast_scope: vec![String::new()],
             taint_scope: vec![String::new()],
-            result_scope: vec![String::new()],
             event_construct_scope: vec![String::new()],
             trace_def_path: String::new(),
             determinism_allow: Vec::new(),
@@ -367,7 +363,7 @@ pub fn analyze_manifest(_cfg: &Config, rel: &str, src: &str) -> FileAnalysis {
 
 /// Phase 2: run the graph rules over every analysis, then apply
 /// suppressions per file. `complete` says the file set covers the whole
-/// workspace (enables SL009/SL010, unused-cold checks, and unused-allow
+/// workspace (enables SL009, unused-cold checks, and unused-allow
 /// judgement of graph-rule directives); `require_roots` makes a hot-root
 /// annotated workspace mandatory.
 pub fn finish(
@@ -390,7 +386,6 @@ pub fn finish(
         complete,
         require_roots,
         taint_scope: &cfg.taint_scope,
-        result_scope: &cfg.result_scope,
         event_scope: &cfg.event_construct_scope,
         trace_def: &cfg.trace_def_path,
     };
@@ -484,7 +479,7 @@ impl LintReport {
 }
 
 /// Lint every `.rs` and `Cargo.toml` under the config's root: the
-/// complete-workspace mode. Hot roots are required and SL009/SL010 run.
+/// complete-workspace mode. Hot roots are required and SL009 runs.
 pub fn lint_workspace(cfg: &Config) -> LintReport {
     let mut files = Vec::new();
     collect_files(cfg, &cfg.root, &mut files);
@@ -524,7 +519,7 @@ pub fn lint_workspace(cfg: &Config) -> LintReport {
 
 /// Lint an explicit file list (absolute or root-relative paths). This is
 /// the *partial* mode: the graph rules that need whole-workspace
-/// visibility (SL009, SL010, unused-cold, zero-roots) stay quiet, and
+/// visibility (SL009, unused-cold, zero-roots) stay quiet, and
 /// directives naming graph rules are never reported unused.
 pub fn lint_paths(cfg: &Config, files: &[PathBuf]) -> LintReport {
     let mut analyses = Vec::new();

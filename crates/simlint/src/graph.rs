@@ -2,9 +2,9 @@
 //!
 //! Phase 1 ([`extract`]) reduces one file's token stream + parse tree to
 //! [`FileFacts`]: per-fn call sites, allocation sites, wall-clock/RNG
-//! reads, discarded-`Result` statements, `trace::Event` definitions and
-//! constructions, and the `// simlint: hot-root` / `// simlint: cold`
-//! markers. Facts are cheap, position-stable, and cacheable per file.
+//! reads, `trace::Event` definitions and constructions, and the
+//! `// simlint: hot-root` / `// simlint: cold` markers. Facts are cheap
+//! and position-stable, and depend on the one file only.
 //!
 //! Phase 2 ([`run`]) joins all facts into a conservative workspace call
 //! graph — direct calls by name, method calls by name, `Type::fn` calls
@@ -21,8 +21,6 @@
 //!   line contains the taint at that edge.
 //! * **SL009 (dead-trace-event)** — `trace::Event` variants never
 //!   constructed in the simulator scope.
-//! * **SL010 (discarded-result)** — expression statements that drop the
-//!   `Result` of a workspace fn in a library crate.
 //!
 //! The graph is *conservative by name*: a method call `x.fold(…)`
 //! resolves to every workspace method named `fold`. That over-links, but
@@ -40,7 +38,6 @@ pub const GRAPH_RULES: &[RuleId] = &[
     RuleId::HotPathAlloc,
     RuleId::DeterminismTaint,
     RuleId::DeadTraceEvent,
-    RuleId::DiscardedResult,
 ];
 
 /// How a call site names its callee.
@@ -54,17 +51,6 @@ pub enum CallKind {
     /// qualifier, falling back to free fns when the qualifier looks like
     /// a module path segment (lowercase).
     Qualified(String),
-}
-
-impl CallKind {
-    /// One-character cache tag.
-    pub fn tag(&self) -> char {
-        match self {
-            CallKind::Free => 'F',
-            CallKind::Method => 'M',
-            CallKind::Qualified(_) => 'Q',
-        }
-    }
 }
 
 /// One call site inside a fn body.
@@ -85,15 +71,6 @@ pub struct AllocFact {
     pub what: String,
 }
 
-/// One expression statement discarding a call's return value.
-#[derive(Clone, Debug)]
-pub struct DiscardFact {
-    pub kind: CallKind,
-    pub callee: String,
-    pub line: u32,
-    pub col: u32,
-}
-
 /// Everything the graph pass needs to know about one fn.
 #[derive(Clone, Debug)]
 pub struct FnFact {
@@ -102,7 +79,6 @@ pub struct FnFact {
     pub line: u32,
     pub col: u32,
     pub is_test: bool,
-    pub returns_result: bool,
     /// Carries a `// simlint: hot-root` marker.
     pub hot_root: bool,
     /// Carries a `// simlint: cold` marker (closure boundary).
@@ -112,7 +88,6 @@ pub struct FnFact {
     pub taint: Option<String>,
     pub calls: Vec<CallFact>,
     pub allocs: Vec<AllocFact>,
-    pub discards: Vec<DiscardFact>,
 }
 
 /// One `trace::Event` variant definition site.
@@ -123,7 +98,7 @@ pub struct EventDef {
     pub col: u32,
 }
 
-/// The cacheable per-file summary the graph pass consumes.
+/// The per-file summary the graph pass consumes.
 #[derive(Clone, Debug, Default)]
 pub struct FileFacts {
     pub fns: Vec<FnFact>,
@@ -293,13 +268,11 @@ pub fn extract(
             line: item.line,
             col: item.col,
             is_test: all_test || in_line_spans(test_lines, item.line),
-            returns_result: item.returns_result,
             hot_root: roots.contains(&idx),
             cold: colds.contains(&idx),
             taint: None,
             calls: Vec::new(),
             allocs: Vec::new(),
-            discards: Vec::new(),
         };
         if let Some((open, close)) = item.body {
             scan_body(toks, open, close, owner.as_deref(), &mut fact);
@@ -318,8 +291,8 @@ pub fn extract(
     facts
 }
 
-/// Scan one fn body's token range for calls, allocations, taint sources,
-/// and discarded-Result statements.
+/// Scan one fn body's token range for calls, allocations and taint
+/// sources.
 fn scan_body(toks: &[Token], open: usize, close: usize, owner: Option<&str>, fact: &mut FnFact) {
     let hi = (close + 1).min(toks.len());
     let mut j = open;
@@ -357,12 +330,6 @@ fn scan_body(toks: &[Token], open: usize, close: usize, owner: Option<&str>, fac
                 if !is_decl {
                     fact.calls.push(call);
                 }
-            }
-        }
-        // Discarded results: `…)` directly followed by `;`.
-        if t.is_punct(")") && next_code(toks, j, hi).is_some_and(|k| toks[k].is_punct(";")) {
-            if let Some(d) = discard_at(toks, open, j) {
-                fact.discards.push(d);
             }
         }
         j += 1;
@@ -458,124 +425,6 @@ fn skip_generic_run(toks: &[Token], lo: usize, hi: usize) -> Option<usize> {
     None
 }
 
-/// Classify the statement ending in the `)` at `close_paren` as a
-/// discarded call, if it is one: the statement must be a bare call chain
-/// (no `let`, no assignment, no `return`/`break`/`continue`, no `?`).
-fn discard_at(toks: &[Token], body_open: usize, close_paren: usize) -> Option<DiscardFact> {
-    // Matching `(` for the final `)`.
-    let mut depth = 0usize;
-    let mut open = None;
-    let mut j = close_paren + 1;
-    while j > body_open {
-        j -= 1;
-        let t = &toks[j];
-        if t.is_comment() {
-            continue;
-        }
-        if t.is_punct(")") {
-            depth += 1;
-        } else if t.is_punct("(") {
-            depth -= 1;
-            if depth == 0 {
-                open = Some(j);
-                break;
-            }
-        }
-    }
-    let open = open?;
-    let name_at = prev_code(toks, open)?;
-    if toks[name_at].kind != TokenKind::Ident || is_call_keyword(&toks[name_at].text) {
-        return None; // `(tuple);`, closures, keywords…
-    }
-    // Macros: `mac!(…)` puts `!` before the `(`; name_at would be `!`'s
-    // ident only if the prev token is `!` — check directly.
-    if prev_code(toks, open).is_some_and(|p| toks[p].is_punct("!")) {
-        return None;
-    }
-    // Walk back to the statement start; any binding/assignment/flow
-    // construct at nesting level 0 means the value is consumed.
-    let (mut p, mut br, mut bc) = (0usize, 0usize, 0usize);
-    let mut j = name_at;
-    while j > body_open {
-        let Some(prev) = prev_code(toks, j) else { break };
-        if prev < body_open {
-            break;
-        }
-        j = prev;
-        let t = &toks[j];
-        if t.is_punct(")") {
-            p += 1;
-            continue;
-        }
-        if t.is_punct("]") {
-            br += 1;
-            continue;
-        }
-        if t.is_punct("}") {
-            bc += 1;
-            continue;
-        }
-        if t.is_punct("(") {
-            if p == 0 {
-                break; // enclosing call/group — value is consumed
-            }
-            p -= 1;
-            continue;
-        }
-        if t.is_punct("[") {
-            if br == 0 {
-                break;
-            }
-            br -= 1;
-            continue;
-        }
-        if t.is_punct("{") {
-            if bc == 0 {
-                break; // enclosing block start
-            }
-            bc -= 1;
-            continue;
-        }
-        if p > 0 || br > 0 || bc > 0 {
-            continue;
-        }
-        if t.is_punct(";") {
-            break; // previous statement's end
-        }
-        if t.is_ident("let")
-            || t.is_ident("return")
-            || t.is_ident("break")
-            || t.is_ident("continue")
-        {
-            return None;
-        }
-        if t.kind == TokenKind::Punct && (t.text.contains('=') || t.text == "?") {
-            return None; // assignment / comparison / `?` chain
-        }
-    }
-    // Classify the final call like `call_at` does.
-    let kind = match prev_code(toks, name_at) {
-        Some(p2) if p2 >= body_open && toks[p2].is_punct(".") => CallKind::Method,
-        Some(p2) if p2 >= body_open && toks[p2].is_punct("::") => {
-            let q = prev_code(toks, p2)?;
-            if toks[q].kind != TokenKind::Ident {
-                return None;
-            }
-            match toks[q].text.as_str() {
-                "self" | "crate" | "super" | "Self" => CallKind::Free,
-                q => CallKind::Qualified(q.to_string()),
-            }
-        }
-        _ => CallKind::Free,
-    };
-    Some(DiscardFact {
-        kind,
-        callee: toks[name_at].text.clone(),
-        line: toks[name_at].line,
-        col: toks[name_at].col,
-    })
-}
-
 /// `Event::Variant` tokens in construction (non-pattern) position.
 fn event_constructions(toks: &[Token], test_lines: &[(u32, u32)], all_test: bool) -> Vec<String> {
     if all_test {
@@ -636,14 +485,12 @@ fn event_constructions(toks: &[Token], test_lines: &[(u32, u32)], all_test: bool
 pub struct GraphConfig<'a> {
     /// The file set covers the whole compilation target — absence of a
     /// construction/definition is meaningful. False for ad-hoc file
-    /// lists, where SL009/SL010 and unused-cold checks are skipped.
+    /// lists, where SL009 and unused-cold checks are skipped.
     pub complete: bool,
     /// Error when no `hot-root` marker exists anywhere (workspace runs).
     pub require_roots: bool,
     /// Path prefixes where SL008 call-edge findings are reported.
     pub taint_scope: &'a [String],
-    /// Path prefixes where SL010 findings are reported.
-    pub result_scope: &'a [String],
     /// Path prefixes whose `Event::…` constructions count as live (SL009).
     pub event_scope: &'a [String],
     /// The file defining `trace::Event` (empty = any file with an
@@ -926,32 +773,6 @@ pub fn run(
         }
     }
 
-    // --- SL010: discarded Results --------------------------------------
-    if cfg.complete {
-        for n in &nodes {
-            if n.fact.is_test || !in_scope(cfg.result_scope, &files[n.file].0) {
-                continue;
-            }
-            for d in &n.fact.discards {
-                let cands = resolve(&d.kind, &d.callee);
-                if cands.is_empty() || !cands.iter().all(|&c| nodes[c].fact.returns_result) {
-                    continue;
-                }
-                diags.push(Diagnostic::new(
-                    RuleId::DiscardedResult,
-                    &files[n.file].0,
-                    d.line,
-                    d.col,
-                    format!(
-                        "statement discards the `Result` returned by `{}`; propagate with \
-                         `?`, handle the error, or bind `let _ =` to discard deliberately",
-                        d.callee
-                    ),
-                ));
-            }
-        }
-    }
-
     GraphOutput { diags, used_taint_allows }
 }
 
@@ -980,7 +801,6 @@ mod tests {
             complete: true,
             require_roots: false,
             taint_scope: ALL,
-            result_scope: ALL,
             event_scope: ALL,
             trace_def: "",
         }
@@ -1152,26 +972,6 @@ fn emit() -> Event { Event::Send }
         // Probe is matched but never built.
         assert_eq!(out.len(), 1, "{out:#?}");
         assert!(out[0].message.contains("Event::Probe"), "{}", out[0].message);
-    }
-
-    #[test]
-    fn discarded_result_flagged_only_when_all_candidates_return_result() {
-        let src = "\
-fn save(x: u32) -> Result<(), String> { Err(format!(\"{x}\")) }
-fn notify(x: u32) -> u32 { x }
-fn driver() {
-    save(1);
-    notify(2);
-    let _ = save(3);
-    save(4).expect(\"fixture: infallible\");
-}
-";
-        let out = run_single(src);
-        let discards: Vec<&Diagnostic> =
-            out.iter().filter(|d| d.rule == RuleId::DiscardedResult).collect();
-        assert_eq!(discards.len(), 1, "{out:#?}");
-        assert_eq!(discards[0].line, 4);
-        assert!(discards[0].message.contains("`save`"), "{}", discards[0].message);
     }
 
     #[test]

@@ -30,9 +30,8 @@
 //! | SL007 | hot-path-alloc | warning | heap allocation reachable from a `// simlint: hot-root` fn |
 //! | SL008 | determinism-taint | error | calls that transitively reach a wall clock / unseeded RNG |
 //! | SL009 | dead-trace-event | warning | `trace::Event` variants never constructed in `netsim` |
-//! | SL010 | discarded-result | warning | expression statements dropping a workspace `Result` |
 //!
-//! SL001–SL006 are single-file rules; SL007–SL010 run on a conservative
+//! SL001–SL006 are single-file rules; SL007–SL009 run on a conservative
 //! workspace call graph built by [`parse`] and [`graph`] (v2).
 
 pub mod diag;
@@ -169,18 +168,6 @@ pub const FIXTURES: &[(RuleId, &str, &str, bool)] = &[
         false,
     ),
     (
-        RuleId::DiscardedResult,
-        "fixtures/discarded-result/bad.rs",
-        include_str!("../fixtures/discarded-result/bad.rs"),
-        true,
-    ),
-    (
-        RuleId::DiscardedResult,
-        "fixtures/discarded-result/clean.rs",
-        include_str!("../fixtures/discarded-result/clean.rs"),
-        false,
-    ),
-    (
         RuleId::UnusedAllow,
         "fixtures/allow/unused.rs",
         include_str!("../fixtures/allow/unused.rs"),
@@ -198,8 +185,7 @@ pub const FIXTURES: &[(RuleId, &str, &str, bool)] = &[
 /// the *workspace* config at two virtual paths — one inside the rule's
 /// scope, one outside it. The in-scope lint must fire, the out-of-scope
 /// one must not: this pins `Config::for_workspace`'s scope lists (e.g.
-/// that `crates/scenario` is held to the panic and discarded-result
-/// policies) the same way [`FIXTURES`] pins the rules themselves.
+/// that `crates/scenario` is held to the panic policy) the same way [`FIXTURES`] pins the rules themselves.
 /// Layout: (rule, in-scope path, out-of-scope path, source).
 pub const SCOPE_FIXTURES: &[(RuleId, &str, &str, &str)] = &[
     (
@@ -207,14 +193,6 @@ pub const SCOPE_FIXTURES: &[(RuleId, &str, &str, &str)] = &[
         "crates/scenario/src/parser.rs",
         "crates/bench/src/main.rs",
         include_str!("../fixtures/panic-policy/bad.rs"),
-    ),
-    // The fuzzer is library code other tools embed: dropped `Result`s
-    // there would silently skip scenario coverage.
-    (
-        RuleId::DiscardedResult,
-        "crates/scenario/src/fuzz.rs",
-        "crates/bench/src/main.rs",
-        include_str!("../fixtures/discarded-result/bad.rs"),
     ),
     (
         RuleId::UnitCast,
@@ -317,12 +295,11 @@ mod tests {
     #[test]
     fn scope_fixtures_cover_the_scenario_crate() {
         // The scenario crate is library code: it must be held to the
-        // panic, taint, and discarded-result policies; the scope
-        // self-check above proves the behaviour, this pins the intent.
+        // panic and taint policies; the scope self-check above proves the
+        // behaviour, this pins the intent.
         let cfg = Config::for_workspace("/");
         assert!(cfg.panic_scope.iter().any(|p| p == "crates/scenario/src"));
         assert!(cfg.taint_scope.iter().any(|p| p == "crates/scenario/src"));
-        assert!(cfg.result_scope.iter().any(|p| p == "crates/scenario/src"));
         assert!(SCOPE_FIXTURES
             .iter()
             .any(|&(_, inside, _, _)| inside.starts_with("crates/scenario/src")));

@@ -43,9 +43,6 @@ pub struct FnItem {
     /// Token indices of the body's `{` and matching `}` (inclusive), or
     /// `None` for bodyless trait/extern declarations.
     pub body: Option<(usize, usize)>,
-    /// Whether `Result` appears in the return-type region. Conservative:
-    /// a `Result` in a trailing `where` clause also counts.
-    pub returns_result: bool,
 }
 
 impl FnItem {
@@ -476,21 +473,7 @@ fn parse_fn(toks: &[Token], kw: usize, scopes: &[Scope]) -> Option<(FnItem, usiz
         j += 1;
     }
     // Return type / where clause, up to the body `{` or a `;`.
-    let mut returns_result = false;
-    let mut end = None;
-    let mut k = j + 1;
-    while k < toks.len() {
-        let t = &toks[k];
-        if t.is_punct("{") || t.is_punct(";") {
-            end = Some(k);
-            break;
-        }
-        if t.is_ident("Result") {
-            returns_result = true;
-        }
-        k += 1;
-    }
-    let end = end?;
+    let end = (j + 1..toks.len()).find(|&k| toks[k].is_punct("{") || toks[k].is_punct(";"))?;
     let (body, resume) = if toks[end].is_punct("{") {
         (Some((end, matching_close(toks, end))), end)
     } else {
@@ -506,7 +489,6 @@ fn parse_fn(toks: &[Token], kw: usize, scopes: &[Scope]) -> Option<(FnItem, usiz
         header_end_line: toks[end].line,
         sig: (kw, end),
         body,
-        returns_result,
     };
     Some((item, resume))
 }
@@ -590,7 +572,6 @@ mod tests {
         assert_eq!(a.owner, None);
         assert_eq!(a.module, "");
         assert_eq!((a.line, a.col), (1, 4));
-        assert!(!a.returns_result);
         assert!(a.body.is_some());
         assert_eq!(p.fns[1].name, "beta");
         assert_eq!(p.fns[1].line, 2);
@@ -599,16 +580,16 @@ mod tests {
     #[test]
     fn nested_generics_and_result_return() {
         // `>>` closes two generic levels in both the generics list and the
-        // return type; `Result` in the return region is detected.
+        // return type; the header ends at the body's `{`.
         let p = parse_src(
             "fn f<T: Into<Vec<u8>>>(v: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, String> { todo() }",
         );
         assert_eq!(p.fns.len(), 1);
         let f = &p.fns[0];
         assert_eq!(f.name, "f");
-        assert!(f.returns_result);
         let (open, close) = f.body.unwrap();
         assert!(open < close);
+        assert_eq!(f.sig.1, open);
     }
 
     #[test]
@@ -810,11 +791,13 @@ impl<T> W<T> where T: Clone {
     }
 
     #[test]
-    fn where_clause_result_bound_counts_as_result_return() {
-        // Conservative by design: `Result` anywhere between params and
-        // body counts, even in a where clause.
+    fn where_clause_with_fn_bound_keeps_the_body() {
+        // The `->` and `Result<…>` of a where-clause bound belong to the
+        // header: the body is the `{}` after them.
         let p = parse_src("fn f<F>(f: F) where F: Fn() -> Result<u32, ()> {}");
-        assert!(p.fns[0].returns_result);
+        assert_eq!(p.fns.len(), 1);
+        let (open, close) = p.fns[0].body.expect("the where clause does not end the header");
+        assert_eq!((p.fns[0].sig.1, close), (open, open + 1));
     }
 
     #[test]

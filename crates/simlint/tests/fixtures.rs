@@ -111,14 +111,6 @@ fn dead_trace_event_bad_fixture_reports_the_variant_definition() {
 }
 
 #[test]
-fn discarded_result_bad_fixture_line() {
-    let diags = diags_for("discarded-result/bad.rs");
-    assert!(diags.iter().all(|d| d.rule == RuleId::DiscardedResult), "{diags:#?}");
-    assert_finding(&diags, RuleId::DiscardedResult, "discarded-result/bad.rs", 11); // persist(row);
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-}
-
-#[test]
 fn trace_exhaustiveness_reference_scrutinee_fixture() {
     let diags = diags_for("trace-exhaustiveness/bad-ref.rs");
     assert_eq!(diags.len(), 1, "{diags:#?}");
